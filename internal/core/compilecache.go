@@ -38,7 +38,7 @@ const EnvCompileCache = "GLESCOMPUTE_COMPILE_CACHE"
 
 // codegenFingerprint versions everything between the KernelSpec and the
 // stored binary that the program text does not itself capture: the shader
-// serialization format and the codegen/specializer revision. Bump the
+// serialization format and the codegen revision. Bump the
 // suffix when compilation output changes for identical source; stale disk
 // entries then miss on key and age out.
 var codegenFingerprint = "gc-codegen-1/bin-" + strconv.Itoa(shader.BinaryFormatVersion)

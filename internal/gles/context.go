@@ -174,6 +174,9 @@ type Context struct {
 	workers  int
 	tileSize int
 
+	// sampler resolves the texture units for the draw in progress.
+	sampler drawSampler
+
 	// Accumulated instrumentation for the timing models.
 	transfers TransferStats
 	draws     DrawStats

@@ -115,12 +115,15 @@ func (c *Context) draw(mode uint32, indices []int) {
 	}
 	// Rendering into a texture that is simultaneously sampled is undefined
 	// in GL; it is allowed here (and produces coherent-but-unspecified
-	// ordering on real hardware). The paper's runtime never does it.
+	// ordering on real hardware): a fragment sees the texels as they were
+	// before its own 16-fragment group was written. The paper's runtime
+	// never does it.
+	c.sampler.resolve(c)
 
 	stats := DrawStats{DrawCalls: 1}
 
-	// ---- Vertex stage ----
-	vex := c.newExecutor(p.vsProg, p.vsCode)
+	// ---- Vertex stage, in groups of up to the executor's lane width ----
+	vex := c.executor(p.vsProg, p.vsCode, &p.vsVM)
 	c.pushUniforms(p, vex, p.vsProg)
 	if err := vex.InitGlobals(); err != nil {
 		c.setErr(INVALID_OPERATION, "draw: vertex shader init failed: %v", err)
@@ -128,43 +131,48 @@ func (c *Context) draw(mode uint32, indices []int) {
 	}
 	shaded := make([]raster.ShadedVertex, len(indices))
 	pointSizes := make([]float32, len(indices))
-	for i, vi := range indices {
-		for _, a := range p.vsProg.Attributes {
-			loc := p.attribLocs[a.Name]
-			span := attribSpan(a.DeclType)
-			val := shader.Zero(a.DeclType)
-			// An out-of-range fetch (vertex beyond the array, or no
-			// backing store) deliberately yields (0,0,0,1) instead of an
-			// error: ES 2.0 makes reads past a client array undefined, and
-			// this simulator pins them to robust-buffer-access-style
-			// zero-fill (TestFetchAttribOutOfRangeZeroFill).
-			if span == 1 {
-				v4, _ := c.fetchAttrib(loc, vi)
-				writeAttrib(&val, a.DeclType, v4)
-			} else {
-				dim := a.DeclType.MatrixDim()
-				for col := 0; col < dim; col++ {
-					v4, _ := c.fetchAttrib(loc+col, vi)
-					for row := 0; row < dim; row++ {
-						val.F[col*dim+row] = v4[row]
+	lanes := vex.Lanes()
+	var flat [16]float32
+	for base := 0; base < len(indices); base += lanes {
+		n := minInt(lanes, len(indices)-base)
+		for l := 0; l < n; l++ {
+			for _, a := range p.vsProg.Attributes {
+				loc := p.attribLocs[a.Name]
+				// An out-of-range fetch (vertex beyond the array, or no
+				// backing store) deliberately yields (0,0,0,1) instead of
+				// an error: ES 2.0 makes reads past a client array
+				// undefined, and this simulator pins them to
+				// robust-buffer-access-style zero-fill
+				// (TestFetchAttribOutOfRangeZeroFill).
+				size := a.DeclType.ComponentCount()
+				if attribSpan(a.DeclType) == 1 {
+					v4, _ := c.fetchAttrib(loc, indices[base+l])
+					copy(flat[:size], v4[:])
+				} else {
+					dim := a.DeclType.MatrixDim()
+					for col := 0; col < dim; col++ {
+						v4, _ := c.fetchAttrib(loc+col, indices[base+l])
+						copy(flat[col*dim:col*dim+dim], v4[:dim])
 					}
 				}
+				vex.SetGlobalFlat(l, a, flat[:size])
 			}
-			vex.SetGlobal(a, val)
 		}
-		if _, err := vex.Run(); err != nil {
+		if _, err := vex.Run(n); err != nil {
 			c.setErr(INVALID_OPERATION, "draw: vertex shader failed: %v", err)
 			return
 		}
-		sv := raster.ShadedVertex{
-			Pos:      vex.Position(),
-			Varyings: make([]float32, p.varyComps),
+		for l := 0; l < n; l++ {
+			sv := raster.ShadedVertex{
+				Pos:      vex.Position(l),
+				Varyings: make([]float32, p.varyComps),
+			}
+			for _, link := range p.varyings {
+				vex.ReadGlobalFlat(l, link.vsDecl, sv.Varyings[link.offset:link.offset+link.comps])
+			}
+			shaded[base+l] = sv
+			pointSizes[base+l] = vex.PointSize(l)
 		}
-		for _, link := range p.varyings {
-			vex.ReadGlobalFlat(link.vsDecl, sv.Varyings[link.offset:link.offset+link.comps])
-		}
-		shaded[i] = sv
-		pointSizes[i] = vex.PointSize()
 	}
 	stats.VertexInvocations = uint64(len(indices))
 	stats.VertexStats = *vex.StatsRef()
@@ -215,90 +223,72 @@ func (c *Context) draw(mode uint32, indices []int) {
 	// tile size: a pixel belongs to exactly one tile, each tile scans the
 	// draw's primitives in submission order (so depth/blend sequencing per
 	// pixel matches), and the per-worker stats are commutative sums
-	// (DESIGN.md §6h).
+	// (DESIGN.md §6h). Each worker shades a tile's fragments of one
+	// primitive in groups of up to 16 (DESIGN.md §6k).
 	vp := raster.Viewport{X: c.viewport[0], Y: c.viewport[1], W: c.viewport[2], H: c.viewport[3]}
-	depthData := c.depthTarget(fb)
+	dr := &drawRun{c: c, p: p, tris: tris, pts: pts, pointSizes: pointSizes, frontCCW: frontCCW,
+		colorData: colorData, depthData: c.depthTarget(fb), fbW: fbW, fbH: fbH}
 
 	ts := c.tileSize
 	tilesX := (fbW + ts - 1) / ts
 	tilesY := (fbH + ts - 1) / ts
 	nTiles := tilesX * tilesY
 
-	workers := c.workers
-	if workers > nTiles {
-		workers = nTiles
+	workers := max(minInt(c.workers, nTiles), 1)
+	for len(p.frags) < workers {
+		p.frags = append(p.frags, &fragWorker{})
 	}
-	if workers <= 1 {
-		// Sequential reference path: one executor scanning the whole
+	for _, fw := range p.frags[:workers] {
+		fw.begin(dr, vp)
+	}
+	if workers == 1 {
+		// Sequential reference path: one worker scanning the whole
 		// framebuffer — the baseline the tiled path is validated against.
-		fex := c.newExecutor(p.fsProg, p.fsCode)
-		c.pushUniforms(p, fex, p.fsProg)
-		if err := fex.InitGlobals(); err != nil {
-			c.setErr(INVALID_OPERATION, "draw: fragment shader init failed: %v", err)
-			return
+		fw := p.frags[0]
+		if fw.err == nil {
+			fw.region()
 		}
-		var ws DrawStats
-		var ferr error
-		rz := raster.NewRasterizer(vp, p.varyComps)
-		rz.SetDepthRange(c.depthRange[0], c.depthRange[1])
-		c.rasterizeRegion(p, fex, rz, tris, pts, pointSizes, frontCCW, fb,
-			colorData, depthData, fbW, fbH, &ws, &ferr)
-		if ferr != nil {
-			c.setErr(INVALID_OPERATION, "draw: fragment shader failed: %v", ferr)
-			return
-		}
-		ws.FragmentStats.AddStats(fex.StatsRef())
-		stats.Add(&ws)
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		workerStats := make([]DrawStats, workers)
-		workerErrs := make([]error, workers)
-
-		for w := 0; w < workers; w++ {
+		for _, fw := range p.frags[:workers] {
 			wg.Add(1)
-			go func(w int) {
+			go func(fw *fragWorker) {
 				defer wg.Done()
-				fex := c.newExecutor(p.fsProg, p.fsCode)
-				c.pushUniforms(p, fex, p.fsProg)
-				if err := fex.InitGlobals(); err != nil {
-					workerErrs[w] = err
-					return
-				}
-				ws := &workerStats[w]
-				rz := raster.NewRasterizer(vp, p.varyComps)
-				rz.SetDepthRange(c.depthRange[0], c.depthRange[1])
-				for {
+				for fw.err == nil {
 					t := int(next.Add(1)) - 1
 					if t >= nTiles {
 						break
 					}
 					x0 := (t % tilesX) * ts
 					y0 := (t / tilesX) * ts
-					rz.SetTile(x0, y0, minInt(x0+ts, fbW), minInt(y0+ts, fbH))
-					c.rasterizeRegion(p, fex, rz, tris, pts, pointSizes,
-						frontCCW, fb, colorData, depthData, fbW, fbH,
-						ws, &workerErrs[w])
-					if workerErrs[w] != nil {
-						return
-					}
+					fw.rz.SetTile(x0, y0, minInt(x0+ts, fbW), minInt(y0+ts, fbH))
+					fw.region()
 				}
-				ws.FragmentStats.AddStats(fex.StatsRef())
-			}(w)
+			}(fw)
 		}
 		wg.Wait()
-
-		// Merge in fixed worker-index order. The tile→worker assignment is
-		// nondeterministic, but every counter is a commutative sum, so the
-		// merged totals (and the framebuffer, whose tiles are disjoint) are
-		// not affected by it.
-		for w := 0; w < workers; w++ {
-			if workerErrs[w] != nil {
-				c.setErr(INVALID_OPERATION, "draw: fragment shader failed: %v", workerErrs[w])
-				return
-			}
-			stats.Add(&workerStats[w])
+	}
+	// Merge in fixed worker-index order. The tile→worker assignment is
+	// nondeterministic, but every counter is a commutative sum, so the
+	// merged totals (and the framebuffer, whose tiles are disjoint) are
+	// not affected by it.
+	var failed *fragWorker
+	for _, fw := range p.frags[:workers] {
+		if fw.err != nil && failed == nil {
+			failed = fw
 		}
+		fw.stats.FragmentStats.AddStats(fw.ex.StatsRef())
+		stats.Add(&fw.stats)
+		fw.end()
+	}
+	if failed != nil {
+		stage := "failed"
+		if failed.initErr {
+			stage = "init failed"
+		}
+		c.setErr(INVALID_OPERATION, "draw: fragment shader %s: %v", stage, failed.err)
+		return
 	}
 	stats.FragmentStats.Invocations = stats.FragmentsShaded
 	c.lastDraw = stats
@@ -311,28 +301,138 @@ func (c *Context) draw(mode uint32, indices []int) {
 // on paper-sized framebuffers to balance the worker pool.
 const defaultTileSize = 64
 
-// rasterizeRegion scans every primitive of the draw against the
-// rasterizer's current tile (or the whole framebuffer when unrestricted)
-// using one worker's executor, accumulating into its private stats.
-func (c *Context) rasterizeRegion(p *Program, fex shader.Executor, rz *raster.Rasterizer,
-	tris [][3]raster.ShadedVertex, pts []raster.ShadedVertex, pointSizes []float32,
-	frontCCW bool, fb *Framebuffer, colorData []byte, depthData []float32,
-	fbW, fbH int, ws *DrawStats, werr *error) {
+// drawRun is the per-draw state every fragment worker reads.
+type drawRun struct {
+	c          *Context
+	p          *Program
+	tris       [][3]raster.ShadedVertex
+	pts        []raster.ShadedVertex
+	pointSizes []float32
+	frontCCW   bool
+	colorData  []byte
+	depthData  []float32
+	fbW, fbH   int
+}
 
-	emit := func(fr *raster.Fragment) {
-		if *werr != nil {
+// fragWorker is one raster worker's fragment stage. It collects the
+// fragments one primitive covers in the worker's tile into groups of up
+// to the executor's lane width, shades each group in one executor run,
+// then runs depth → blend → write per fragment in emission order. A
+// program keeps one per raster worker across draws, with its VM,
+// rasterizer and group scratch.
+type fragWorker struct {
+	*drawRun
+	vm      *shader.VM // the worker's cached lane engine
+	ex      shader.Executor
+	rz      *raster.Rasterizer
+	stats   DrawStats
+	err     error
+	initErr bool
+
+	// The group being collected: each lane's pixel and window depth (its
+	// shader inputs go straight into the executor's lane registers).
+	n, lanes int
+	x, y     [shader.LaneWidth]int
+	z        [shader.LaneWidth]float32
+
+	emitFn      func(*raster.Fragment)
+	emitPointFn func(*raster.Fragment, float32, float32)
+}
+
+// begin prepares the worker for a draw over viewport vp: a reset
+// rasterizer, and a reset executor with the program's uniforms and
+// initialized globals.
+func (fw *fragWorker) begin(dr *drawRun, vp raster.Viewport) {
+	if fw.rz == nil {
+		fw.rz = raster.NewRasterizer(vp, dr.p.varyComps)
+		fw.emitFn = fw.emit
+		fw.emitPointFn = fw.emitPoint
+	}
+	fw.rz.Reset(vp)
+	fw.rz.SetDepthRange(dr.c.depthRange[0], dr.c.depthRange[1])
+	fw.drawRun, fw.stats, fw.err, fw.initErr, fw.n = dr, DrawStats{}, nil, false, 0
+	fw.ex = dr.c.executor(dr.p.fsProg, dr.p.fsCode, &fw.vm)
+	fw.lanes = fw.ex.Lanes()
+	dr.c.pushUniforms(dr.p, fw.ex, dr.p.fsProg)
+	if err := fw.ex.InitGlobals(); err != nil {
+		fw.err, fw.initErr = err, true
+	}
+}
+
+// end drops the draw's references so a cached worker pins no
+// framebuffer; its error stays readable.
+func (fw *fragWorker) end() { fw.drawRun, fw.ex = nil, nil }
+
+// region scans every primitive of the draw against the rasterizer's
+// current tile (or the whole framebuffer when unrestricted), flushing the
+// group at the end of each primitive.
+func (fw *fragWorker) region() {
+	for _, t := range fw.tris {
+		fw.rz.Triangle(t[0], t[1], t[2], fw.frontCCW, fw.emitFn)
+		fw.flush()
+	}
+	for pi, pt := range fw.pts {
+		fw.rz.Point(pt, fw.pointSizes[pi], fw.emitPointFn)
+		fw.flush()
+	}
+}
+
+func (fw *fragWorker) emit(fr *raster.Fragment) { fw.add(fr, false, 0, 0) }
+
+func (fw *fragWorker) emitPoint(fr *raster.Fragment, pcx, pcy float32) { fw.add(fr, true, pcx, pcy) }
+
+// add appends a fragment that survives the framebuffer bounds and
+// scissor to the group; point sprites carry their gl_PointCoord.
+func (fw *fragWorker) add(fr *raster.Fragment, point bool, pcx, pcy float32) {
+	c := fw.c
+	if fw.err != nil || fr.X < 0 || fr.X >= fw.fbW || fr.Y < 0 || fr.Y >= fw.fbH {
+		return
+	}
+	if c.scissorOn {
+		if fr.X < c.scissor[0] || fr.X >= c.scissor[0]+c.scissor[2] ||
+			fr.Y < c.scissor[1] || fr.Y >= c.scissor[1]+c.scissor[3] {
 			return
 		}
-		c.shadeFragment(p, fex, fr, fb, colorData, depthData, fbW, fbH, ws, werr)
 	}
-	for _, t := range tris {
-		rz.Triangle(t[0], t[1], t[2], frontCCW, emit)
+	l := fw.n
+	fw.ex.SetFragCoord(l, fr.FragCoord)
+	fw.ex.SetFrontFacing(l, fr.FrontFacing)
+	for _, link := range fw.p.varyings {
+		fw.ex.SetGlobalFlat(l, link.fsDecl, fr.Varyings[link.offset:link.offset+link.comps])
 	}
-	for pi, pt := range pts {
-		rz.Point(pt, pointSizes[pi], func(fr *raster.Fragment, pcx, pcy float32) {
-			fex.SetPointCoord(pcx, pcy)
-			emit(fr)
-		})
+	fw.x[l], fw.y[l], fw.z[l] = fr.X, fr.Y, fr.FragCoord[2]
+	if point {
+		fw.ex.SetPointCoord(l, pcx, pcy)
+	}
+	fw.n++
+	if fw.n == fw.lanes {
+		fw.flush()
+	}
+}
+
+// flush shades the collected group, then runs the per-fragment pipeline
+// (depth → blend → mask → write) in emission order. Early depth is
+// illegal when shaders can discard, so the shader runs first.
+func (fw *fragWorker) flush() {
+	n := fw.n
+	fw.n = 0
+	if n == 0 || fw.err != nil {
+		return
+	}
+	discarded, err := fw.ex.Run(n)
+	if err != nil {
+		fw.err = err
+		return
+	}
+	fw.stats.FragmentsShaded += uint64(n)
+	for l := 0; l < n; l++ {
+		if discarded&(1<<l) != 0 {
+			fw.stats.FragmentsDiscarded++
+			continue
+		}
+		if fw.c.writeFragment(fw.ex.FragOutput(l), fw.x[l], fw.y[l], fw.z[l], fw.colorData, fw.depthData, fw.fbW) {
+			fw.stats.PixelsWritten++
+		}
 	}
 }
 
@@ -366,57 +466,21 @@ func (c *Context) cullTriangle(t [3]raster.ShadedVertex, frontCCW bool) bool {
 	return false
 }
 
-// shadeFragment runs the fragment shader and the per-fragment pipeline
-// (scissor → shader → depth → blend → mask → write).
-func (c *Context) shadeFragment(p *Program, fex shader.Executor, fr *raster.Fragment,
-	fb *Framebuffer, colorData []byte, depthData []float32, fbW, fbH int,
-	ws *DrawStats, werr *error) {
-
-	if fr.X < 0 || fr.X >= fbW || fr.Y < 0 || fr.Y >= fbH {
-		return
-	}
-	if c.scissorOn {
-		if fr.X < c.scissor[0] || fr.X >= c.scissor[0]+c.scissor[2] ||
-			fr.Y < c.scissor[1] || fr.Y >= c.scissor[1]+c.scissor[3] {
-			return
-		}
-	}
-	// Early depth is illegal when shaders can discard; run shader first.
-	fex.SetFragCoord(fr.FragCoord)
-	fex.SetFrontFacing(fr.FrontFacing)
-	for _, link := range p.varyings {
-		fex.SetGlobalFlat(link.fsDecl, fr.Varyings[link.offset:link.offset+link.comps])
-	}
-	// Reset the color output (GL leaves it undefined; zero is deterministic).
-	fex.ResetFragOutputs()
-
-	discarded, err := fex.Run()
-	if err != nil {
-		*werr = err
-		return
-	}
-	ws.FragmentsShaded++
-	if discarded {
-		ws.FragmentsDiscarded++
-		return
-	}
-
-	// Depth test.
+// writeFragment runs the depth test, blending and the color mask for one
+// shaded fragment at (x, y) with window depth z, reporting whether it
+// passed the depth test.
+func (c *Context) writeFragment(out [4]float32, x, y int, z float32, colorData []byte, depthData []float32, fbW int) bool {
 	if c.depthTestOn && depthData != nil {
-		di := fr.Y*fbW + fr.X
-		if !depthPass(c.depthFunc, fr.FragCoord[2], depthData[di]) {
-			return
+		di := y*fbW + x
+		if !depthPass(c.depthFunc, z, depthData[di]) {
+			return false
 		}
 		if c.depthMask {
-			depthData[di] = fr.FragCoord[2]
+			depthData[di] = z
 		}
 	}
-
-	// Output color: gl_FragColor, or gl_FragData[0] if written.
-	out := fex.FragOutput()
 	r, g, b, a := out[0], out[1], out[2], out[3]
-
-	o := (fr.Y*fbW + fr.X) * 4
+	o := (y*fbW + x) * 4
 	if c.blendOn {
 		dr := float32(colorData[o+0]) / 255
 		dg := float32(colorData[o+1]) / 255
@@ -433,7 +497,7 @@ func (c *Context) shadeFragment(p *Program, fex shader.Executor, fr *raster.Frag
 			colorData[o+ch] = px[ch]
 		}
 	}
-	ws.PixelsWritten++
+	return true
 }
 
 func depthPass(fn uint32, frag, stored float32) bool {
@@ -520,14 +584,5 @@ func (c *Context) pushUniforms(p *Program, ex shader.Executor, prog *glsl.Progra
 		if v, ok := p.uniformVals[u.Name]; ok {
 			ex.SetGlobal(u, v.Copy())
 		}
-	}
-}
-
-// writeAttrib stores a fetched vec4 into an attribute value of the declared
-// type (float/vec2..4).
-func writeAttrib(dst *shader.Value, t *glsl.Type, v4 [4]float32) {
-	n := t.ComponentCount()
-	for i := 0; i < n && i < 4; i++ {
-		dst.F[i] = v4[i]
 	}
 }

@@ -155,6 +155,13 @@ type Program struct {
 	vsCode *shader.Compiled
 	fsCode *shader.Compiled
 
+	// Lane engines reused draw after draw, so a draw allocates no
+	// register file: one for the vertex stage and one fragment worker
+	// (VM, rasterizer and group scratch) per raster worker. Cleared
+	// whenever the code above changes.
+	vsVM  *shader.VM
+	frags []*fragWorker
+
 	boundAttribs map[string]int
 	attribLocs   map[string]int // post-link
 	attribDecls  []*glsl.VarDecl
@@ -285,6 +292,7 @@ func (c *Context) LinkProgram(id uint32) {
 	// a link error — the AST interpreter remains as fallback.
 	p.vsCode, _ = shader.Compile(p.vsProg)
 	p.fsCode, _ = shader.Compile(p.fsProg)
+	p.vsVM, p.frags = nil, nil
 
 	p.linked = true
 }
@@ -540,6 +548,7 @@ func (c *Context) ProgramBinary(id uint32, blob []byte) {
 	}
 	p.vsProg, p.fsProg = vsCode.Prog, fsCode.Prog
 	p.vsCode, p.fsCode = vsCode, fsCode
+	p.vsVM, p.frags = nil, nil
 	if !c.linkTables(p, func(format string, args ...interface{}) {
 		p.infoLog += fmt.Sprintf(format, args...) + "\n"
 		c.setErr(INVALID_OPERATION, "ProgramBinary: "+format, args...)
@@ -550,14 +559,20 @@ func (c *Context) ProgramBinary(id uint32, blob []byte) {
 	p.linked = true
 }
 
-// newExecutor builds a shader executor for one stage of a linked program:
-// the bytecode VM by default, the AST interpreter when configured (or when
-// bytecode compilation failed).
-func (c *Context) newExecutor(prog *glsl.Program, code *shader.Compiled) shader.Executor {
-	if code != nil && !c.cfg.UseInterpreter {
-		return shader.NewVM(code, c, c.cfg.SFU)
+// executor returns a shader executor for one stage of a linked program,
+// reset for a new draw: the program's cached lane engine by default, or a
+// fresh AST interpreter when configured (or when bytecode compilation
+// failed). cached holds the stage's VM slot.
+func (c *Context) executor(prog *glsl.Program, code *shader.Compiled, cached **shader.VM) shader.Executor {
+	if code == nil || c.cfg.UseInterpreter {
+		return shader.Serial(shader.NewExec(prog, &c.sampler, c.cfg.SFU))
 	}
-	return shader.NewExec(prog, c, c.cfg.SFU)
+	if *cached == nil {
+		*cached = shader.NewVM(code, &c.sampler, c.cfg.SFU)
+	} else {
+		(*cached).Reset()
+	}
+	return *cached
 }
 
 // addUniformLeaves recursively enumerates location-addressable leaves.

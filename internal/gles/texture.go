@@ -435,17 +435,72 @@ func (t *Texture) complete() bool {
 	return true
 }
 
-// Sample2D implements shader.TextureSampler for the draw pipeline; unit is
-// resolved through the context's texture units.
-func (c *Context) Sample2D(unit int, s, t float32) [4]float32 {
-	if unit < 0 || unit >= len(c.texUnits) {
-		return [4]float32{0, 0, 0, 1}
+// drawSampler is the shader.TextureSampler of one draw. Each texture
+// unit's binding is resolved once when the draw starts — completeness,
+// base level, filter, wraps and the minification decision — so a fetch is
+// only the filtered texel lookup. A unit whose texture is missing or
+// incomplete samples opaque black.
+type drawSampler struct {
+	tex2D, texCube []boundTexture
+}
+
+// boundTexture is one unit's resolved binding; lv is nil when the unit
+// samples opaque black.
+type boundTexture struct {
+	lv           *texLevel
+	linear       bool
+	wrapS, wrapT uint32
+}
+
+var opaqueBlack = [4]float32{0, 0, 0, 1}
+
+// resolve binds the context's texture units as they are at draw start.
+func (s *drawSampler) resolve(c *Context) {
+	if s.tex2D == nil {
+		s.tex2D = make([]boundTexture, len(c.texUnits))
+		s.texCube = make([]boundTexture, len(c.texUnits))
 	}
-	tex := c.textures[c.texUnits[unit].tex2D]
+	for i, u := range c.texUnits {
+		s.tex2D[i] = c.bindTexture(u.tex2D)
+		s.texCube[i] = c.bindTexture(u.texCube)
+	}
+}
+
+func (c *Context) bindTexture(id uint32) boundTexture {
+	tex := c.textures[id]
 	if tex == nil || !tex.complete() {
-		return [4]float32{0, 0, 0, 1}
+		return boundTexture{}
 	}
-	return tex.sample(s, t, c.minified(tex))
+	// The filter comes from minFilter under minification and magFilter
+	// under magnification, per the GL footprint rule. Mipmap selection
+	// always uses the base level (no derivatives in this implementation);
+	// mip filters behave like their within-level counterparts
+	// (LINEAR_MIPMAP_* filters linearly, NEAREST_MIPMAP_* point-samples).
+	filter := tex.magFilter
+	if c.minified(tex) {
+		filter = tex.minFilter
+	}
+	return boundTexture{
+		lv:     &tex.levels[0],
+		linear: filter == LINEAR || filter == LINEAR_MIPMAP_NEAREST || filter == LINEAR_MIPMAP_LINEAR,
+		wrapS:  tex.wrapS,
+		wrapT:  tex.wrapT,
+	}
+}
+
+func (b *boundTexture) sample(s, t float32) [4]float32 {
+	if b.linear {
+		return b.lv.sampleLinear(s, t, b.wrapS, b.wrapT)
+	}
+	return b.lv.sampleNearest(s, t, b.wrapS, b.wrapT)
+}
+
+// Sample2D implements shader.TextureSampler.
+func (s *drawSampler) Sample2D(unit int, u, v float32) [4]float32 {
+	if unit < 0 || unit >= len(s.tex2D) || s.tex2D[unit].lv == nil {
+		return opaqueBlack
+	}
+	return s.tex2D[unit].sample(u, v)
 }
 
 // minified estimates the sampling footprint (the GL scale factor ρ) for
@@ -466,57 +521,36 @@ func (c *Context) minified(tex *Texture) bool {
 // SampleCube implements shader.TextureSampler. Cube sampling selects the
 // major-axis face but this implementation stores a single face; GPGPU code
 // never uses cube maps, so faces alias face 0 (documented limitation).
-func (c *Context) SampleCube(unit int, s, t, r float32) [4]float32 {
-	if unit < 0 || unit >= len(c.texUnits) {
-		return [4]float32{0, 0, 0, 1}
+func (s *drawSampler) SampleCube(unit int, x, y, z float32) [4]float32 {
+	if unit < 0 || unit >= len(s.texCube) || s.texCube[unit].lv == nil {
+		return opaqueBlack
 	}
-	tex := c.textures[c.texUnits[unit].texCube]
-	if tex == nil || !tex.complete() {
-		return [4]float32{0, 0, 0, 1}
-	}
-	minified := c.minified(tex)
 	// Major-axis projection to 2D coordinates.
-	as, at, ar := abs32(s), abs32(t), abs32(r)
+	as, at, ar := abs32(x), abs32(y), abs32(z)
 	var u, v float32
 	switch {
 	case ar >= as && ar >= at:
-		u, v = (s/ar+1)/2, (t/ar+1)/2
+		u, v = (x/ar+1)/2, (y/ar+1)/2
 	case as >= at:
-		u, v = (r/as+1)/2, (t/as+1)/2
+		u, v = (z/as+1)/2, (y/as+1)/2
 	default:
-		u, v = (s/at+1)/2, (r/at+1)/2
+		u, v = (x/at+1)/2, (z/at+1)/2
 	}
-	return tex.sample(u, v, minified)
+	return s.texCube[unit].sample(u, v)
 }
 
-// sample performs filtered sampling at normalized coordinates. The filter
-// comes from minFilter under minification and magFilter under
-// magnification, per the GL footprint rule. Mipmap selection always uses
-// the base level (no derivatives in this implementation); mip filters
-// behave like their within-level counterparts (LINEAR_MIPMAP_* filters
-// linearly, NEAREST_MIPMAP_* point-samples).
-func (t *Texture) sample(s, tc float32, minified bool) [4]float32 {
-	lv := &t.levels[0]
-	filter := t.magFilter
-	if minified {
-		filter = t.minFilter
+// unorm8 maps a texel byte c to c / (2^8 - 1), equation (1) of the
+// paper, precomputed so a fetch does no division.
+var unorm8 = func() (t [256]float32) {
+	for c := range t {
+		t[c] = float32(c) / 255
 	}
-	linear := filter == LINEAR || filter == LINEAR_MIPMAP_NEAREST || filter == LINEAR_MIPMAP_LINEAR
-	if linear {
-		return lv.sampleLinear(s, tc, t.wrapS, t.wrapT)
-	}
-	return lv.sampleNearest(s, tc, t.wrapS, t.wrapT)
-}
+	return t
+}()
 
 func (l *texLevel) texelAt(x, y int) [4]float32 {
-	o := (y*l.width + x) * 4
-	// Equation (1) of the paper: f = c / (2^8 - 1).
-	return [4]float32{
-		float32(l.data[o+0]) / 255,
-		float32(l.data[o+1]) / 255,
-		float32(l.data[o+2]) / 255,
-		float32(l.data[o+3]) / 255,
-	}
+	p := l.data[(y*l.width+x)*4:]
+	return [4]float32{unorm8[p[0]], unorm8[p[1]], unorm8[p[2]], unorm8[p[3]]}
 }
 
 func wrapCoord(i, n int, wrap uint32) int {

@@ -18,9 +18,9 @@ import (
 )
 
 // rasterSource is a deliberately ALU-heavy element-wise kernel: per
-// fragment it runs a 16-iteration feedback loop through the multiply-add
-// and fract paths the VM specializes, so per-tile work dominates the
-// per-draw fixed costs being amortized.
+// fragment it runs a 16-iteration feedback loop of multiply-add and
+// fract, so per-tile work dominates the per-draw fixed costs being
+// amortized.
 const rasterSource = `
 float gc_kernel(float idx) {
 	float x = gc_a(idx);

@@ -55,14 +55,18 @@ type Rasterizer struct {
 // NewRasterizer returns a rasterizer for the given viewport and varying
 // component count. Depth range is the GL default [0,1].
 func NewRasterizer(vp Viewport, numVaryings int) *Rasterizer {
-	r := &Rasterizer{
-		vp: vp, depthN: 0, depthF: 1,
-		numVaryings: numVaryings,
-		rowMin:      math.MinInt32, rowMax: math.MaxInt32,
-		colMin: math.MinInt32, colMax: math.MaxInt32,
-	}
+	r := &Rasterizer{numVaryings: numVaryings}
 	r.frag.Varyings = make([]float32, numVaryings)
+	r.Reset(vp)
 	return r
+}
+
+// Reset readies the rasterizer for a new draw over vp, keeping its
+// scratch: GL default depth range, no tile restriction.
+func (r *Rasterizer) Reset(vp Viewport) {
+	r.vp, r.depthN, r.depthF = vp, 0, 1
+	r.rowMin, r.rowMax = math.MinInt32, math.MaxInt32
+	r.colMin, r.colMax = math.MinInt32, math.MaxInt32
 }
 
 // SetDepthRange configures glDepthRangef.

@@ -2,10 +2,10 @@ package shader
 
 // This file lowers a checked GLSL ES program to a linear bytecode stream
 // over a flat float32 register file — the "shader compiler" of the
-// simulated device. The companion register machine in vm.go executes the
-// stream with zero per-invocation heap allocation, replacing the
-// tree-walking interpreter in the hot fragment path (the interpreter in
-// interp.go/eval.go remains the reference implementation).
+// simulated device. The lane engine in vm.go executes the stream over
+// groups of up to 16 invocations with zero per-group heap allocation,
+// replacing the tree-walking interpreter in the hot fragment path (the
+// interpreter in interp.go/eval.go remains the reference implementation).
 //
 // Correctness contract: for every program, the VM must produce outputs
 // that are bit-identical to the interpreter AND accumulate an identical
@@ -34,8 +34,8 @@ const (
 	opNop       opcode = iota
 	opStats            // Stats.AddStats(statTable[aux])
 	opJmp              // pc = aux
-	opJz               // if regs[a] == 0: pc = aux
-	opJnz              // if regs[a] != 0: pc = aux
+	opJz               // if regs[a] == 0: pc = aux; c = reconvergence pc, or -1 (see branch)
+	opJnz              // if regs[a] != 0: pc = aux; c as for opJz
 	opCall             // push pc+1; pc = funcEntry[aux]
 	opRet              // pop pc, or finish when the call stack is empty
 	opDiscard          // abort the invocation as discarded
@@ -178,8 +178,9 @@ type loopCtx struct {
 }
 
 type label struct {
-	pc    int32
-	fixes []int32
+	pc     int32
+	fixes  []int32 // instructions whose jump target (aux) is this label
+	rfixes []int32 // instructions whose reconvergence pc (c) is this label
 }
 
 func (cc *compiler) fail(pos glsl.Pos, format string, args ...interface{}) {
@@ -232,9 +233,6 @@ func Compile(prog *glsl.Program) (c *Compiled, err error) {
 
 	c.code = cc.code
 	cc.buildMutatedRanges()
-	// Collapse dispatch on the hot paths (direct builtin opcodes,
-	// superinstructions); bit-identical by construction, see specialize.go.
-	specialize(c)
 	return c, nil
 }
 
@@ -451,14 +449,30 @@ func (cc *compiler) bind(l *label) {
 	for _, at := range l.fixes {
 		cc.code[at].aux = l.pc
 	}
-	l.fixes = nil
+	for _, at := range l.rfixes {
+		cc.code[at].c = l.pc
+	}
+	l.fixes, l.rfixes = nil, nil
 }
 
+// jump emits an unconditional jump, or a conditional one the lane engine
+// cannot mask (a loop exit or back-edge condition): lanes that disagree
+// on it are serialized.
 func (cc *compiler) jump(op opcode, cond int32, l *label) {
+	cc.branch(op, cond, l, nil)
+}
+
+// branch emits a jump to l. A non-nil reconv marks a structured forward
+// branch — if/else, ?:, &&, || — whose two sides meet again at reconv:
+// the lane engine runs it masked when lanes disagree.
+func (cc *compiler) branch(op opcode, cond int32, l, reconv *label) {
 	cc.flushStats()
-	at := cc.emit(instr{op: op, a: cond, aux: l.pc})
+	at := cc.emit(instr{op: op, a: cond, aux: l.pc, c: -1})
 	if l.pc < 0 {
 		l.fixes = append(l.fixes, at)
+	}
+	if reconv != nil {
+		reconv.rfixes = append(reconv.rfixes, at)
 	}
 }
 
@@ -617,7 +631,11 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		cc.pending.Branch++
 		elseL := cc.newLabel()
 		endL := cc.newLabel()
-		cc.jump(opJz, cond, elseL)
+		reconv := endL
+		if n.Else == nil {
+			reconv = elseL
+		}
+		cc.branch(opJz, cond, elseL, reconv)
 		cc.compileStmt(n.Then)
 		if n.Else != nil {
 			cc.jump(opJmp, 0, endL)
@@ -823,7 +841,7 @@ func (cc *compiler) compileExpr(e glsl.Expr) (reg int32, direct bool) {
 		size := flatSize(n.Type())
 		out := cc.temp(size)
 		elseL, endL := cc.newLabel(), cc.newLabel()
-		cc.jump(opJz, cond, elseL)
+		cc.branch(opJz, cond, elseL, endL)
 		mark := cc.tempTop
 		tr, _ := cc.compileExpr(n.Then)
 		cc.emit(instr{op: opMov, dst: out, a: tr, n: size})
@@ -989,7 +1007,7 @@ func (cc *compiler) compileBinary(n *glsl.BinaryExpr) (int32, bool) {
 		cc.pending.Logic++
 		out := cc.temp(1)
 		falseL, endL := cc.newLabel(), cc.newLabel()
-		cc.jump(opJz, x, falseL)
+		cc.branch(opJz, x, falseL, endL)
 		y, _ := cc.compileExpr(n.Y)
 		cc.emit(instr{op: opBoolNorm, dst: out, a: y})
 		cc.jump(opJmp, 0, endL)
@@ -1002,7 +1020,7 @@ func (cc *compiler) compileBinary(n *glsl.BinaryExpr) (int32, bool) {
 		cc.pending.Logic++
 		out := cc.temp(1)
 		trueL, endL := cc.newLabel(), cc.newLabel()
-		cc.jump(opJnz, x, trueL)
+		cc.branch(opJnz, x, trueL, endL)
 		y, _ := cc.compileExpr(n.Y)
 		cc.emit(instr{op: opBoolNorm, dst: out, a: y})
 		cc.jump(opJmp, 0, endL)

@@ -1,43 +1,52 @@
 package shader
 
-// Executor abstracts the two shader execution engines — the AST
-// interpreter (Exec, the reference implementation) and the bytecode
-// register machine (VM, the default) — behind the operations the GLES
-// pipeline needs. internal/gles programs draw loops against this
-// interface; the differential tests run both engines and require
-// bit-identical results and Stats.
+// Executor abstracts the two shader execution engines — the bytecode
+// lane engine (VM, the default) and the AST interpreter (Exec, the
+// reference implementation and link-failure fallback, adapted by Serial)
+// — behind the operations the GLES pipeline needs. An Executor shades a
+// group of up to Lanes() invocations that share uniforms; per-invocation
+// inputs and outputs are addressed by lane. The differential tests run
+// both engines and require bit-identical results and Stats.
 
-import "glescompute/internal/glsl"
+import (
+	"strconv"
 
-// Executor is one shader invocation context.
+	"glescompute/internal/glsl"
+)
+
+// Executor shades groups of invocations of one shader stage.
 type Executor interface {
+	// Lanes is the largest group Run accepts.
+	Lanes() int
 	// InitGlobals evaluates file-scope initializers. Call after uniforms
 	// are set and before the first Run.
 	InitGlobals() error
-	// Run executes main() once; reports whether the fragment discarded.
-	Run() (bool, error)
+	// Run executes main() once on each of lanes [0, n) and returns the
+	// mask of lanes that discarded. Fragment outputs are zeroed first.
+	Run(n int) (discarded uint32, err error)
 	// StatsRef exposes the accumulated operation counters.
 	StatsRef() *Stats
-	// SetGlobal stores a runtime value into a global variable.
+	// SetGlobal stores a runtime value into a global variable on every
+	// lane (uniforms).
 	SetGlobal(d *glsl.VarDecl, val Value)
-	// ReadGlobalFlat copies a global's flattened components out (varying
-	// capture after the vertex stage).
-	ReadGlobalFlat(d *glsl.VarDecl, out []float32)
-	// SetGlobalFlat fills a global from flattened components (varying
-	// input before a fragment invocation). Unlike SetGlobal it does not
-	// touch the per-run reset snapshot.
-	SetGlobalFlat(d *glsl.VarDecl, in []float32)
+	// ReadGlobalFlat copies a lane's global flattened components out
+	// (varying capture after the vertex stage); out holds the global's
+	// flat size.
+	ReadGlobalFlat(lane int, d *glsl.VarDecl, out []float32)
+	// SetGlobalFlat fills a lane's global from its flattened components
+	// (attributes and varyings). Unlike SetGlobal it does not touch the
+	// per-run reset snapshot.
+	SetGlobalFlat(lane int, d *glsl.VarDecl, in []float32)
 
 	// Vertex-stage outputs.
-	Position() [4]float32
-	PointSize() float32
+	Position(lane int) [4]float32
+	PointSize(lane int) float32
 
 	// Fragment-stage inputs and outputs.
-	SetFragCoord(v [4]float32)
-	SetFrontFacing(front bool)
-	SetPointCoord(x, y float32)
-	ResetFragOutputs()
-	FragOutput() [4]float32
+	SetFragCoord(lane int, v [4]float32)
+	SetFrontFacing(lane int, front bool)
+	SetPointCoord(lane int, x, y float32)
+	FragOutput(lane int) [4]float32
 }
 
 // ---- Exec (interpreter) implementation ----
@@ -109,71 +118,107 @@ func anyComponentNonZero(v Value) bool {
 	return false
 }
 
-// ---- VM (bytecode) implementation ----
+// serial adapts the interpreter to Executor as a group of one lane.
+type serial struct{ *Exec }
+
+// Serial returns ex as an Executor shading one invocation per group.
+func Serial(ex *Exec) Executor { return serial{ex} }
+
+func (s serial) Lanes() int { return 1 }
+
+func (s serial) Run(n int) (uint32, error) {
+	if n != 1 {
+		return 0, &RuntimeError{Msg: "interpreter: group of " + strconv.Itoa(n) + " lanes"}
+	}
+	if s.Prog.Stage == glsl.StageFragment {
+		s.ResetFragOutputs()
+	}
+	discarded, err := s.Exec.Run()
+	if discarded {
+		return 1, err
+	}
+	return 0, err
+}
+
+func (s serial) ReadGlobalFlat(_ int, d *glsl.VarDecl, out []float32) {
+	s.Exec.ReadGlobalFlat(d, out)
+}
+func (s serial) SetGlobalFlat(_ int, d *glsl.VarDecl, in []float32) { s.Exec.SetGlobalFlat(d, in) }
+func (s serial) Position(int) [4]float32                            { return s.Exec.Position() }
+func (s serial) PointSize(int) float32                              { return s.Exec.PointSize() }
+func (s serial) SetFragCoord(_ int, v [4]float32)                   { s.Exec.SetFragCoord(v) }
+func (s serial) SetFrontFacing(_ int, front bool)                   { s.Exec.SetFrontFacing(front) }
+func (s serial) SetPointCoord(_ int, x, y float32)                  { s.Exec.SetPointCoord(x, y) }
+func (s serial) FragOutput(int) [4]float32                          { return s.Exec.FragOutput() }
+
+// ---- VM (lane engine) implementation ----
 
 // StatsRef returns the VM's counters.
 func (vm *VM) StatsRef() *Stats { return &vm.Stats }
 
-// ReadGlobalFlat copies a global's registers out.
-func (vm *VM) ReadGlobalFlat(d *glsl.VarDecl, out []float32) {
+// lane returns register r of lane l.
+func (vm *VM) lane(r int32, l int) *float32 { return &vm.regs[r][l] }
+
+// ReadGlobalFlat copies len(out) flattened components of a lane's global
+// out.
+func (vm *VM) ReadGlobalFlat(lane int, d *glsl.VarDecl, out []float32) {
 	off := vm.c.globalOff[d.Slot]
-	copy(out, vm.regs[off:off+flatSize(d.DeclType)])
+	for i := range out {
+		out[i] = *vm.lane(off+int32(i), lane)
+	}
 }
 
-// SetGlobalFlat copies flattened components into a global's registers.
-func (vm *VM) SetGlobalFlat(d *glsl.VarDecl, in []float32) {
+// SetGlobalFlat copies len(in) flattened components into a lane's
+// global.
+func (vm *VM) SetGlobalFlat(lane int, d *glsl.VarDecl, in []float32) {
 	off := vm.c.globalOff[d.Slot]
-	copy(vm.regs[off:off+flatSize(d.DeclType)], in)
+	for i, v := range in {
+		*vm.lane(off+int32(i), lane) = v
+	}
 }
 
-// Position returns gl_Position.
-func (vm *VM) Position() [4]float32 {
-	o := vm.c.builtinOff[glsl.BVSlotPosition]
-	return [4]float32{vm.regs[o], vm.regs[o+1], vm.regs[o+2], vm.regs[o+3]}
+// vec4 reads registers r..r+3 of a lane.
+func (vm *VM) vec4(r int32, l int) [4]float32 {
+	return [4]float32{*vm.lane(r, l), *vm.lane(r+1, l), *vm.lane(r+2, l), *vm.lane(r+3, l)}
 }
 
-// PointSize returns gl_PointSize.
-func (vm *VM) PointSize() float32 {
-	return vm.regs[vm.c.builtinOff[glsl.BVSlotPointSize]]
+// Position returns a lane's gl_Position.
+func (vm *VM) Position(lane int) [4]float32 {
+	return vm.vec4(vm.c.builtinOff[glsl.BVSlotPosition], lane)
 }
 
-// SetFragCoord sets gl_FragCoord.
-func (vm *VM) SetFragCoord(v [4]float32) {
+// PointSize returns a lane's gl_PointSize.
+func (vm *VM) PointSize(lane int) float32 {
+	return *vm.lane(vm.c.builtinOff[glsl.BVSlotPointSize], lane)
+}
+
+// SetFragCoord sets a lane's gl_FragCoord.
+func (vm *VM) SetFragCoord(lane int, v [4]float32) {
 	o := vm.c.builtinOff[glsl.BVSlotFragCoord]
-	vm.regs[o], vm.regs[o+1], vm.regs[o+2], vm.regs[o+3] = v[0], v[1], v[2], v[3]
-}
-
-// SetFrontFacing sets gl_FrontFacing.
-func (vm *VM) SetFrontFacing(front bool) {
-	vm.regs[vm.c.builtinOff[glsl.BVSlotFrontFacing]] = b2f(front)
-}
-
-// SetPointCoord sets gl_PointCoord.
-func (vm *VM) SetPointCoord(x, y float32) {
-	o := vm.c.builtinOff[glsl.BVSlotPointCoord]
-	vm.regs[o], vm.regs[o+1] = x, y
-}
-
-// ResetFragOutputs zeroes gl_FragColor and gl_FragData.
-func (vm *VM) ResetFragOutputs() {
-	o := vm.c.builtinOff[glsl.BVSlotFragColor]
 	for i := int32(0); i < 4; i++ {
-		vm.regs[o+i] = 0
-	}
-	o = vm.c.builtinOff[glsl.BVSlotFragData]
-	for i := int32(0); i < 4*glsl.MaxDrawBuffers; i++ {
-		vm.regs[o+i] = 0
+		*vm.lane(o+i, lane) = v[i]
 	}
 }
 
-// FragOutput returns gl_FragColor, or gl_FragData[0] when written.
-func (vm *VM) FragOutput() [4]float32 {
-	fc := vm.c.builtinOff[glsl.BVSlotFragColor]
-	fd := vm.c.builtinOff[glsl.BVSlotFragData]
-	if vm.regs[fd] != 0 || vm.regs[fd+1] != 0 || vm.regs[fd+2] != 0 || vm.regs[fd+3] != 0 {
-		fc = fd
+// SetFrontFacing sets a lane's gl_FrontFacing.
+func (vm *VM) SetFrontFacing(lane int, front bool) {
+	*vm.lane(vm.c.builtinOff[glsl.BVSlotFrontFacing], lane) = b2f(front)
+}
+
+// SetPointCoord sets a lane's gl_PointCoord.
+func (vm *VM) SetPointCoord(lane int, x, y float32) {
+	o := vm.c.builtinOff[glsl.BVSlotPointCoord]
+	*vm.lane(o, lane), *vm.lane(o+1, lane) = x, y
+}
+
+// FragOutput returns a lane's gl_FragColor, or gl_FragData[0] when
+// written.
+func (vm *VM) FragOutput(lane int) [4]float32 {
+	fd := vm.vec4(vm.c.builtinOff[glsl.BVSlotFragData], lane)
+	if fd != [4]float32{} {
+		return fd
 	}
-	return [4]float32{vm.regs[fc], vm.regs[fc+1], vm.regs[fc+2], vm.regs[fc+3]}
+	return vm.vec4(vm.c.builtinOff[glsl.BVSlotFragColor], lane)
 }
 
 // ---- Flattening helpers ----

@@ -3,7 +3,7 @@ package shader
 // Program-binary serialization for Compiled: the payload behind the gles
 // OES_get_program_binary-style entry points and core's persistent compile
 // cache. The blob carries everything the VM and the link tables need at
-// runtime — the specialized bytecode stream, the Stats flush table, builtin
+// runtime — the bytecode stream, the Stats flush table, builtin
 // call descriptors, the register layout, and interface-variable stubs
 // (name/slot/type for every uniform, attribute and varying) — and nothing
 // else: the full AST is dropped, so an unmarshaled Compiled supports VM
@@ -26,7 +26,7 @@ import (
 // BinaryFormatVersion identifies the Compiled wire format. Bump it whenever
 // the instruction set, the Stats layout, or any serialized structure
 // changes shape; stale blobs then unmarshal to ErrBinaryVersion.
-const BinaryFormatVersion = 1
+const BinaryFormatVersion = 2
 
 var binaryMagic = [4]byte{'G', 'C', 'P', 'B'}
 
@@ -450,54 +450,253 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 	return c, nil
 }
 
-// validate sanity-checks cross-references a hostile blob could break, so a
-// corrupt cache entry fails closed instead of crashing a VM mid-draw.
+// maxBinaryRegs bounds the register file of a loaded program (the lane
+// engine allocates LaneWidth floats per register); real programs use a
+// few thousand.
+const maxBinaryRegs = 1 << 20
+
+// validate checks every cross-reference a hostile blob could break — each
+// instruction's register operands by opcode, jump targets, table indices,
+// builtin descriptors, the global and builtin layout, call and loop depth
+// — so a corrupt or stale cache entry fails closed at load instead of
+// crashing a VM mid-draw. Only dynamic (indexed) addresses are left to the
+// VM, which checks them per lane and returns a RuntimeError.
 func (c *Compiled) validate() error {
-	ncode := int32(len(c.code))
-	if c.nregs < 0 || c.nregs > 1<<24 {
-		return fmt.Errorf("shader: program binary: register file size %d out of range", c.nregs)
+	bad := func(format string, args ...interface{}) error {
+		return fmt.Errorf("shader: program binary: "+format, args...)
 	}
-	if c.initEntry < 0 || c.initEntry > ncode || c.mainEntry < 0 || c.mainEntry > ncode {
-		return fmt.Errorf("shader: program binary: entry point out of range")
+	ncode := int32(len(c.code))
+	if c.nregs < 0 || c.nregs > maxBinaryRegs {
+		return bad("register file size %d out of range", c.nregs)
+	}
+	// span reports whether registers [r, r+n) lie inside the file.
+	span := func(r, n int32) bool {
+		return r >= 0 && n >= 0 && int64(r)+int64(n) <= int64(c.nregs)
+	}
+	pcOK := func(pc int32) bool { return pc >= 0 && pc < ncode }
+	if ncode == 0 || !pcOK(c.initEntry) || !pcOK(c.mainEntry) {
+		return bad("entry point out of range")
+	}
+	if op := c.code[ncode-1].op; op != opRet && op != opJmp {
+		return bad("code falls off its end")
 	}
 	if c.globalBase < 0 || c.globalEnd < c.globalBase || c.globalEnd > c.nregs {
-		return fmt.Errorf("shader: program binary: global window [%d,%d) outside register file", c.globalBase, c.globalEnd)
+		return bad("global window [%d,%d) outside register file", c.globalBase, c.globalEnd)
+	}
+	inGlobals := func(off, n int32) bool {
+		return off >= c.globalBase && n >= 0 && int64(off)+int64(n) <= int64(c.globalEnd)
 	}
 	for _, o := range c.globalOff {
-		if o < 0 || o > c.nregs {
-			return fmt.Errorf("shader: program binary: global offset %d outside register file", o)
+		if !inGlobals(o, 0) {
+			return bad("global offset %d outside the global window", o)
+		}
+	}
+	for _, ds := range [][]*glsl.VarDecl{c.Prog.Uniforms, c.Prog.Attributes, c.Prog.Varyings} {
+		for _, d := range ds {
+			if d.Slot >= len(c.globalOff) || !inGlobals(c.globalOff[d.Slot], flatSize(d.DeclType)) {
+				return bad("variable %q does not fit its global slot", d.Name)
+			}
 		}
 	}
 	for _, r := range c.mutatedRanges {
 		// Entries are {offset, length} pairs (see buildMutatedRanges).
-		if r[0] < 0 || r[1] < 0 || r[0]+r[1] > c.nregs {
-			return fmt.Errorf("shader: program binary: mutated range at %d length %d outside register file", r[0], r[1])
+		if !inGlobals(r[0], r[1]) {
+			return bad("mutated range at %d length %d outside the global window", r[0], r[1])
+		}
+	}
+	builtinSlots := map[int]int32{glsl.BVSlotPosition: 4, glsl.BVSlotPointSize: 1}
+	if c.Prog.Stage == glsl.StageFragment {
+		builtinSlots = map[int]int32{glsl.BVSlotFragCoord: 4, glsl.BVSlotFrontFacing: 1,
+			glsl.BVSlotPointCoord: 2, glsl.BVSlotFragColor: 4, glsl.BVSlotFragData: 4 * glsl.MaxDrawBuffers}
+	}
+	for slot, n := range builtinSlots {
+		if !span(c.builtinOff[slot], n) {
+			return bad("builtin slot %d outside register file", slot)
 		}
 	}
 	for _, fi := range c.funcs {
-		if fi.entry < 0 || fi.entry > ncode {
-			return fmt.Errorf("shader: program binary: function entry %d out of range", fi.entry)
+		if !pcOK(fi.entry) {
+			return bad("function entry %d out of range", fi.entry)
 		}
 	}
-	for i := range c.code {
-		in := &c.code[i]
+	if c.nloops < 0 || c.nloops > ncode {
+		return bad("loop count %d out of range", c.nloops)
+	}
+	if c.maxDepth < 1 || c.maxDepth > int32(len(c.funcs))+2 {
+		return bad("call depth %d out of range", c.maxDepth)
+	}
+	for i := range c.builtins {
+		if err := c.builtins[i].validate(span); err != nil {
+			return bad("builtin descriptor %d: %v", i, err)
+		}
+	}
+	for pc := range c.code {
+		if err := c.validateInstr(int32(pc), span); err != nil {
+			return bad("instruction %d (op %d): %v", pc, c.code[pc].op, err)
+		}
+	}
+	return nil
+}
+
+// validateInstr checks one instruction's operands against the tables and
+// the register file.
+func (c *Compiled) validateInstr(pc int32, span func(r, n int32) bool) error {
+	in := &c.code[pc]
+	ncode := int32(len(c.code))
+	regs := func(rs ...[2]int32) error {
+		for _, r := range rs {
+			if !span(r[0], r[1]) {
+				return fmt.Errorf("registers [%d,%d) outside the file of %d", r[0], r[0]+r[1], c.nregs)
+			}
+		}
+		return nil
+	}
+	one := func(r int32) [2]int32 { return [2]int32{r, 1} }
+	width := func(r, n int32) [2]int32 { return [2]int32{r, n} }
+	// bcast is operand r's width: 1 when its broadcast flag is set.
+	bcast := func(r int32, flag int32) [2]int32 {
+		if flag != 0 {
+			return one(r)
+		}
+		return width(r, in.n)
+	}
+	// swz checks the n packed nibble offsets of a swizzle from base.
+	swz := func(base int32) error {
+		for i := int32(0); i < in.n; i++ {
+			if err := regs(one(base + (in.aux>>(4*i))&0xf)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if in.n < 0 || in.n > c.nregs {
+		return fmt.Errorf("width %d out of range", in.n)
+	}
+	switch in.op {
+	case opNop, opRet, opDiscard:
+		return nil
+	case opStats:
+		if in.aux < 0 || int(in.aux) >= len(c.stats) {
+			return fmt.Errorf("stats entry %d of %d", in.aux, len(c.stats))
+		}
+	case opCall:
+		if in.aux < 0 || int(in.aux) >= len(c.funcs) {
+			return fmt.Errorf("function %d of %d", in.aux, len(c.funcs))
+		}
+	case opBuiltin:
+		if in.aux < 0 || int(in.aux) >= len(c.builtins) {
+			return fmt.Errorf("builtin descriptor %d of %d", in.aux, len(c.builtins))
+		}
+	case opJmp:
+		if in.aux < 0 || in.aux >= ncode {
+			return fmt.Errorf("jump target %d out of range", in.aux)
+		}
+	case opJz, opJnz:
+		if in.aux < 0 || in.aux >= ncode {
+			return fmt.Errorf("jump target %d out of range", in.aux)
+		}
+		// A structured branch jumps forward into its own region.
+		if in.c != -1 && !(pc < in.aux && in.aux <= in.c && in.c < ncode) {
+			return fmt.Errorf("reconvergence pc %d does not close the branch to %d", in.c, in.aux)
+		}
+		return regs(one(in.a))
+	case opLoopReset, opLoopGuard:
+		if in.aux < 0 || in.aux >= c.nloops {
+			return fmt.Errorf("loop %d of %d", in.aux, c.nloops)
+		}
+		if in.op == opLoopGuard && (in.b < 0 || int(in.b) >= len(c.poss)) {
+			return fmt.Errorf("position %d of %d", in.b, len(c.poss))
+		}
+	case opLoadImm, opDiscardTake:
+		return regs(one(in.dst))
+	case opDiscardHalt:
+		return regs(one(in.a))
+	case opZero:
+		return regs(width(in.dst, in.n))
+	case opMov, opNeg, opConvInt:
+		return regs(width(in.dst, in.n), width(in.a, in.n))
+	case opConvBool:
+		return regs(width(in.dst, max(in.n, 1)), width(in.a, max(in.n, 1)))
+	case opSplat:
+		return regs(width(in.dst, in.n), one(in.a))
+	case opSwizLoad:
+		if err := regs(width(in.dst, in.n)); err != nil {
+			return err
+		}
+		return swz(in.a)
+	case opSwizStore:
+		if err := regs(width(in.a, in.n)); err != nil {
+			return err
+		}
+		return swz(in.dst)
+	case opLoadInd, opLoadIndC:
+		return regs(width(in.dst, in.n), one(in.a))
+	case opStoreInd, opStoreIndC:
+		return regs(one(in.a), width(in.b, in.n))
+	case opAddrOff, opNot, opBoolNorm:
+		return regs(one(in.dst), one(in.a))
+	case opDynAddr, opDynPick:
+		if in.b >= 0 {
+			if err := regs(one(in.b)); err != nil {
+				return err
+			}
+		}
+		return regs(one(in.dst), one(in.a))
+	case opAdd, opSub, opMul, opDivF, opDivI:
+		return regs(width(in.dst, in.n), bcast(in.a, in.aux&1), bcast(in.b, in.aux&2))
+	case opXorXor, opLt, opLe, opGt, opGe:
+		return regs(one(in.dst), one(in.a), one(in.b))
+	case opEqV, opNeV:
+		return regs(one(in.dst), width(in.a, in.n), width(in.b, in.n))
+	case opMatDiag, opMatMulMM, opMatMulMV, opMatMulVM:
+		n := in.n
+		if n < 1 || n > 4 {
+			return fmt.Errorf("matrix dimension %d", n)
+		}
+		d, a, b := n*n, n*n, n*n
 		switch in.op {
-		case opStats:
-			if int(in.aux) >= len(c.stats) || in.aux < 0 {
-				return fmt.Errorf("shader: program binary: opStats references stats entry %d of %d", in.aux, len(c.stats))
-			}
-		case opCall:
-			if int(in.aux) >= len(c.funcs) || in.aux < 0 {
-				return fmt.Errorf("shader: program binary: opCall references function %d of %d", in.aux, len(c.funcs))
-			}
-		case opBuiltin:
-			if int(in.aux) >= len(c.builtins) || in.aux < 0 {
-				return fmt.Errorf("shader: program binary: opBuiltin references descriptor %d of %d", in.aux, len(c.builtins))
-			}
-		case opJmp, opJz, opJnz:
-			if in.aux < 0 || in.aux > ncode {
-				return fmt.Errorf("shader: program binary: jump target %d out of range", in.aux)
-			}
+		case opMatDiag:
+			a = 1
+		case opMatMulMV:
+			d, b = n, n
+		case opMatMulVM:
+			d, a = n, n
+		}
+		return regs(width(in.dst, d), width(in.a, a), width(in.b, b))
+	default:
+		return fmt.Errorf("unknown opcode")
+	}
+	return nil
+}
+
+// validate checks a builtin descriptor's registers against every
+// component the VM reads or writes for it.
+func (d *builtinDesc) validate(span func(r, n int32) bool) error {
+	if d.nargs < 1 || d.nargs > 3 || d.nc < 0 || d.nc > 16 || d.an < 0 || d.an > 4 || d.dim < 0 || d.dim > 4 {
+		return fmt.Errorf("shape nargs=%d nc=%d an=%d dim=%d out of range", d.nargs, d.nc, d.an, d.dim)
+	}
+	out := max(d.nc, 1)
+	in := max(d.nc, d.an, d.dim*d.dim, 1)
+	switch d.id {
+	case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod,
+		glsl.BTexture2DProj3, glsl.BTexture2DProj4, glsl.BTexture2DProjLod3, glsl.BTexture2DProjLod4,
+		glsl.BTextureCube, glsl.BTextureCubeBias, glsl.BTextureCubeLod:
+		out, in = max(out, 4), max(in, 4)
+	case glsl.BCross:
+		out, in = max(out, 3), max(in, 3)
+	case glsl.BMatrixCompMult:
+		out = max(out, d.dim*d.dim)
+	case glsl.BLessThan, glsl.BLessThanEqual, glsl.BGreaterThan, glsl.BGreaterThanEqual,
+		glsl.BEqual, glsl.BNotEqual, glsl.BNot,
+		glsl.BNormalize, glsl.BFaceforward, glsl.BReflect, glsl.BRefract:
+		out = max(out, d.an)
+	}
+	if !span(d.dst, out) {
+		return fmt.Errorf("destination register %d width %d outside register file", d.dst, out)
+	}
+	for _, a := range d.args {
+		if !span(a, in) {
+			return fmt.Errorf("argument register %d width %d outside register file", a, in)
 		}
 	}
 	return nil

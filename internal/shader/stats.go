@@ -21,20 +21,7 @@ type Stats struct {
 }
 
 // AddStats accumulates o into s.
-func (s *Stats) AddStats(o *Stats) {
-	s.Add += o.Add
-	s.Mul += o.Mul
-	s.Div += o.Div
-	s.Cmp += o.Cmp
-	s.Logic += o.Logic
-	s.Mov += o.Mov
-	s.Select += o.Select
-	s.SFU += o.SFU
-	s.Tex += o.Tex
-	s.Branch += o.Branch
-	s.Call += o.Call
-	s.Invocations += o.Invocations
-}
+func (s *Stats) AddStats(o *Stats) { s.addN(o, 1) }
 
 // ALUOps returns the total plain-ALU operation count.
 func (s *Stats) ALUOps() uint64 {
@@ -56,4 +43,21 @@ func (s *Stats) Scale(k float64) Stats {
 		SFU: mul(s.SFU), Tex: mul(s.Tex), Branch: mul(s.Branch),
 		Call: mul(s.Call), Invocations: mul(s.Invocations),
 	}
+}
+
+// addN accumulates k copies of o into s: one opStats block delta charged
+// to each of k active lanes.
+func (s *Stats) addN(o *Stats, k uint64) {
+	s.Add += o.Add * k
+	s.Mul += o.Mul * k
+	s.Div += o.Div * k
+	s.Cmp += o.Cmp * k
+	s.Logic += o.Logic * k
+	s.Mov += o.Mov * k
+	s.Select += o.Select * k
+	s.SFU += o.SFU * k
+	s.Tex += o.Tex * k
+	s.Branch += o.Branch * k
+	s.Call += o.Call * k
+	s.Invocations += o.Invocations * k
 }

@@ -80,8 +80,10 @@ func fillValue(t *glsl.Type, g *lcg) Value {
 }
 
 // runDifferential executes prog through both engines with identical
-// deterministic inputs for several invocations, failing on any
-// divergence.
+// deterministic inputs: the interpreter one invocation at a time, the VM
+// as groups of up to LaneWidth lanes (the last group ragged). Outputs,
+// every global and the discard flag must agree per invocation, the first
+// error must agree, and the Stats must agree after every group.
 func runDifferential(t *testing.T, prog *glsl.Program, invocations int) {
 	t.Helper()
 	comp, err := Compile(prog)
@@ -92,102 +94,109 @@ func runDifferential(t *testing.T, prog *glsl.Program, invocations int) {
 	vm := NewVM(comp, diffSampler{}, DefaultSFU)
 	ex.MaxLoopIter = 1 << 16
 	vm.MaxLoopIter = 1 << 16
-	var both [2]Executor
-	both[0], both[1] = ex, vm
 
-	// Uniforms and stage inputs, identical on both sides.
+	// Uniforms, identical on both sides.
 	gU, gV := lcg(12345), lcg(12345)
-	gens := [2]*lcg{&gU, &gV}
 	for _, gl := range prog.Globals {
-		switch gl.Qual {
-		case glsl.QualUniform, glsl.QualAttribute:
-			for k, e := range both {
-				e.SetGlobal(gl, fillValue(gl.DeclType, gens[k]))
-			}
+		if gl.Qual == glsl.QualUniform || gl.Qual == glsl.QualAttribute {
+			ex.SetGlobal(gl, fillValue(gl.DeclType, &gU))
+			vm.SetGlobal(gl, fillValue(gl.DeclType, &gV))
 		}
 	}
-	for k, e := range both {
-		if err := e.InitGlobals(); err != nil {
-			t.Fatalf("InitGlobals (engine %d): %v", k, err)
-		}
+	if err := ex.InitGlobals(); err != nil {
+		t.Fatalf("InitGlobals (interp): %v", err)
+	}
+	if err := vm.InitGlobals(); err != nil {
+		t.Fatalf("InitGlobals (vm): %v", err)
 	}
 	if s1, s2 := *ex.StatsRef(), *vm.StatsRef(); s1 != s2 {
 		t.Fatalf("InitGlobals stats diverge:\ninterp: %+v\nvm:     %+v", s1, s2)
 	}
 
-	varyBuf := make([]float32, 64)
-	for inv := 0; inv < invocations; inv++ {
+	// inputs applies invocation inv's stage inputs to the interpreter and
+	// to one VM lane.
+	flat := make([]float32, 64)
+	inputs := func(inv, lane int) {
 		seed := lcg(777 + 31*uint32(inv))
 		if prog.Stage == glsl.StageFragment {
 			fc := [4]float32{float32(inv%7) + 0.5, float32(inv/7) + 0.5, 0.5, 1}
-			for _, e := range both {
-				e.SetFragCoord(fc)
-				e.SetFrontFacing(inv%2 == 0)
-				e.SetPointCoord(0.25, 0.75)
-				e.ResetFragOutputs()
-			}
+			ex.SetFragCoord(fc)
+			ex.SetFrontFacing(inv%2 == 0)
+			ex.SetPointCoord(0.25, 0.75)
+			ex.ResetFragOutputs()
+			vm.SetFragCoord(lane, fc)
+			vm.SetFrontFacing(lane, inv%2 == 0)
+			vm.SetPointCoord(lane, 0.25, 0.75)
 			for _, vr := range prog.Varyings {
-				g := seed
 				n := vr.DeclType.FlatSize()
 				for i := 0; i < n; i++ {
-					varyBuf[i] = g.float(glsl.KFloat)
+					flat[i] = seed.float(glsl.KFloat)
 				}
-				seed = g
-				for _, e := range both {
-					e.SetGlobalFlat(vr, varyBuf[:n])
-				}
+				ex.SetGlobalFlat(vr, flat[:n])
+				vm.SetGlobalFlat(lane, vr, flat[:n])
 			}
-		} else {
-			g1, g2 := seed, seed
-			ag := [2]*lcg{&g1, &g2}
-			for _, a := range prog.Attributes {
-				for k, e := range both {
-					e.SetGlobal(a, fillValue(a.DeclType, ag[k]))
-				}
-			}
+			return
 		}
+		for _, a := range prog.Attributes {
+			v := fillValue(a.DeclType, &seed)
+			ex.SetGlobal(a, v)
+			n := flattenValueInto(flat, v)
+			vm.SetGlobalFlat(lane, a, flat[:n])
+		}
+	}
 
-		d1, err1 := ex.Run()
-		d2, err2 := vm.Run()
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("invocation %d: error divergence: interp=%v vm=%v", inv, err1, err2)
+	for base := 0; base < invocations; base += LaneWidth {
+		n := min(LaneWidth, invocations-base)
+		for l := 0; l < n; l++ {
+			inputs(base+l, l)
 		}
-		if err1 != nil {
-			continue
-		}
-		if d1 != d2 {
-			t.Fatalf("invocation %d: discard divergence: interp=%v vm=%v", inv, d1, d2)
-		}
-		if prog.Stage == glsl.StageFragment {
-			o1, o2 := ex.FragOutput(), vm.FragOutput()
-			if !bitsEqual4(o1, o2) {
-				t.Fatalf("invocation %d: gl_FragColor diverges:\ninterp: %v\nvm:     %v", inv, o1, o2)
+		discards, errV := vm.Run(n)
+		var errI error
+		for l := 0; l < n && errI == nil; l++ {
+			inv := base + l
+			inputs(inv, l)
+			var d bool
+			if d, errI = ex.Run(); errI != nil {
+				break
 			}
-		} else {
-			p1, p2 := ex.Position(), vm.Position()
-			if !bitsEqual4(p1, p2) {
-				t.Fatalf("invocation %d: gl_Position diverges:\ninterp: %v\nvm:     %v", inv, p1, p2)
+			if d != (discards&(1<<l) != 0) {
+				t.Fatalf("invocation %d: discard divergence: interp=%v vm=%v", inv, d, !d)
 			}
-			if math.Float32bits(ex.PointSize()) != math.Float32bits(vm.PointSize()) {
-				t.Fatalf("invocation %d: gl_PointSize diverges: %v vs %v", inv, ex.PointSize(), vm.PointSize())
-			}
-		}
-		// All globals (catches varying outputs and mutated globals).
-		for _, gl := range prog.Globals {
-			n := gl.DeclType.FlatSize()
-			b1 := make([]float32, n)
-			b2 := make([]float32, n)
-			ex.ReadGlobalFlat(gl, b1)
-			vm.ReadGlobalFlat(gl, b2)
-			for i := range b1 {
-				if math.Float32bits(b1[i]) != math.Float32bits(b2[i]) {
-					t.Fatalf("invocation %d: global %q[%d] diverges: %v vs %v",
-						inv, gl.Name, i, b1[i], b2[i])
+			if prog.Stage == glsl.StageFragment {
+				if o1, o2 := ex.FragOutput(), vm.FragOutput(l); !bitsEqual4(o1, o2) {
+					t.Fatalf("invocation %d: gl_FragColor diverges:\ninterp: %v\nvm:     %v", inv, o1, o2)
+				}
+			} else {
+				if p1, p2 := ex.Position(), vm.Position(l); !bitsEqual4(p1, p2) {
+					t.Fatalf("invocation %d: gl_Position diverges:\ninterp: %v\nvm:     %v", inv, p1, p2)
+				}
+				if math.Float32bits(ex.PointSize()) != math.Float32bits(vm.PointSize(l)) {
+					t.Fatalf("invocation %d: gl_PointSize diverges: %v vs %v", inv, ex.PointSize(), vm.PointSize(l))
 				}
 			}
+			// All globals (catches varying outputs and mutated globals).
+			for _, gl := range prog.Globals {
+				n := gl.DeclType.FlatSize()
+				b1 := make([]float32, n)
+				b2 := make([]float32, n)
+				ex.ReadGlobalFlat(gl, b1)
+				vm.ReadGlobalFlat(l, gl, b2)
+				for i := range b1 {
+					if math.Float32bits(b1[i]) != math.Float32bits(b2[i]) {
+						t.Fatalf("invocation %d: global %q[%d] diverges: %v vs %v",
+							inv, gl.Name, i, b1[i], b2[i])
+					}
+				}
+			}
+		}
+		if (errI == nil) != (errV == nil) || errI != nil && errI.Error() != errV.Error() {
+			t.Fatalf("group at %d: error divergence: interp=%v vm=%v", base, errI, errV)
+		}
+		if errI != nil {
+			return
 		}
 		if s1, s2 := *ex.StatsRef(), *vm.StatsRef(); s1 != s2 {
-			t.Fatalf("invocation %d: stats diverge:\ninterp: %+v\nvm:     %+v", inv, s1, s2)
+			t.Fatalf("group at %d: stats diverge:\ninterp: %+v\nvm:     %+v", base, s1, s2)
 		}
 	}
 }
@@ -228,7 +237,7 @@ func TestVMDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runDifferential(t, compileSrc(t, string(src), stage), 16)
+			runDifferential(t, compileSrc(t, string(src), stage), 24)
 		})
 	}
 }
@@ -240,6 +249,7 @@ func TestVMDifferentialConstructs(t *testing.T) {
 	frag := func(body string) string {
 		return "precision highp float;\nuniform float u_a;\nuniform float u_b;\nuniform vec4 u_v;\n" + body
 	}
+	perLane := func(body string) string { return frag("varying vec4 v_p;\n" + body) }
 	cases := map[string]string{
 		"swizzle-alias": frag(`
 void main() {
@@ -485,6 +495,140 @@ void main() {
 	vec4 e = textureCube(u_c0, u_v.xyz);
 	gl_FragColor = a + b * 0.5 + c * 0.25 + d * 0.125 + e * 0.0625;
 }`),
+		// The codec decode→ALU→encode spine of the paper kernels.
+		"codec-spine": `
+precision highp float;
+uniform sampler2D u_d;
+varying vec2 v_uv;
+void main() {
+	vec4 t = texture2D(u_d, v_uv);
+	vec4 b = floor(t * 255.0 + vec4(0.5));
+	float v = b.r + b.g * 256.0 + b.b * 65536.0;
+	v = v * 0.0001 + 0.5;
+	float f = fract(v);
+	float q = clamp(mod(v, 256.0), 0.0, 255.0);
+	float s = step(128.0, q) * min(f, 0.75) + max(f, 0.25);
+	gl_FragColor = vec4(fract(v * 0.001), f, q / 255.0, s * 0.5);
+}`,
+		"loop-break-calls": `
+precision highp float;
+varying vec2 v_uv;
+uniform float u_k;
+float spin(float x) {
+	float acc = 0.0;
+	for (int i = 0; i < 12; i++) {
+		acc = acc + fract(x * 0.37 + acc * 0.61);
+		if (acc > 4.0) { break; }
+		x = x * 1.1 + 0.01;
+	}
+	return acc;
+}
+void main() {
+	float a = spin(v_uv.x * 3.0);
+	float b = 0.0;
+	for (int j = 0; j < 4; j++) {
+		b += spin(v_uv.y * float(j) + a * 0.25);
+	}
+	gl_FragColor = vec4(a, b * 0.1, fract(a + b), 1.0);
+}`,
+		// Group constructs: the varying differs per lane, so these
+		// diverge inside one 16-fragment group.
+		"group-divergent-if": perLane(`
+void main() {
+	float x = v_p.x;
+	vec4 c = vec4(0.0);
+	if (x > 4.0) {
+		c.r = x * 2.0;
+		if (v_p.y < 0.0) { c.g = 1.0; } else { c.g = fract(x); }
+	} else {
+		c.b = floor(x) + u_a;
+	}
+	float t = x > 0.0 ? (v_p.y > 2.0 ? v_p.z : -v_p.z) : (v_p.w < 1.0 ? 3.0 : floor(v_p.w));
+	bool both = x > 1.0 && v_p.y < 5.0 || v_p.z > 10.0;
+	gl_FragColor = c + vec4(t, float(both), 0.0, 1.0);
+}`),
+		"group-int32-decode": perLane(`
+float dec(vec4 t) {
+	vec4 b = floor(t * 255.0 + vec4(0.5));
+	if (b.a < 128.0) {
+		return b.r + b.g * 256.0 + b.b * 65536.0 + b.a * 16777216.0;
+	}
+	vec4 nb = vec4(255.0) - b;
+	return -(nb.r + nb.g * 256.0 + nb.b * 65536.0 + nb.a * 16777216.0 + 1.0);
+}
+vec4 enc(float v) {
+	float neg = v < 0.0 ? 1.0 : 0.0;
+	float w = v < 0.0 ? -(v + 1.0) : v;
+	float b0 = mod(w, 256.0);
+	float r1 = floor((w - b0) / 256.0);
+	float b1 = mod(r1, 256.0);
+	float r2 = floor((r1 - b1) / 256.0);
+	float b2 = mod(r2, 256.0);
+	float b3 = floor((r2 - b2) / 256.0);
+	vec4 bb = vec4(b0, b1, b2, b3);
+	if (neg == 1.0) { bb = vec4(255.0) - bb; }
+	return (bb + vec4(0.25)) / 255.0;
+}
+void main() {
+	float v = dec(fract(abs(v_p) * 0.37));
+	gl_FragColor = enc(floor(v / 4096.0) + u_a);
+}`),
+		"group-loop-divergence": perLane(`
+float walk(float x) {
+	float acc = 0.0;
+	for (int i = 0; i < 16; i++) {
+		if (float(i) > x) { break; }
+		if (mod(float(i), 3.0) == 0.0) { continue; }
+		acc += float(i);
+		if (acc > 20.0) { return -acc; }
+	}
+	return acc;
+}
+float climb(float x) {
+	float acc = 0.0;
+	for (int i = 0; i < 16; i++) {
+		if (float(i) > x) { acc -= 1.0; break; } else { acc += 0.5; }
+	}
+	return acc;
+}
+void main() {
+	float k = climb(v_p.y);
+	while (k < v_p.y) { k += 1.5; }
+	int n = 0;
+	do { n++; } while (float(n) < v_p.w);
+	gl_FragColor = vec4(walk(v_p.x), k, walk(v_p.z), float(n));
+}`),
+		"group-discard": perLane(`
+void drop(float x) { if (x > 6.0) { discard; } }
+void h(out float o, inout float p) { o = 1.0; p += 2.0; if (v_p.w > 4.0) { discard; } }
+void main() {
+	if (v_p.x < 0.0) { discard; }
+	float y = v_p.y;
+	if (y > 2.0) { drop(v_p.z); }
+	float a = 0.0;
+	float b = y;
+	if (v_p.z > 0.0) { h(a, b); }
+	gl_FragColor = vec4(y, v_p.z, a, b);
+}`),
+		"group-dynamic-index": perLane(`
+void main() {
+	float arr[6];
+	for (int i = 0; i < 6; i++) { arr[i] = float(i) * v_p.y; }
+	int j = int(v_p.x);
+	arr[j] += v_p.z;
+	vec4 v = v_p;
+	v[int(v_p.w)] = 7.0;
+	gl_FragColor = vec4(arr[j], arr[int(v_p.z)], v[int(v_p.y)], v.x + v.w);
+}`),
+		"group-runaway-lane": perLane(`
+void main() {
+	float s = 0.0;
+	for (int i = 0; i >= 0; i++) {
+		if (gl_FragCoord.x != 5.5) { break; }
+		s += 1.0;
+	}
+	gl_FragColor = vec4(s);
+}`),
 	}
 	for name, src := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -594,12 +738,17 @@ void main() {
 	}
 }
 
-// TestVMLoopGuard verifies both engines abort runaway loops with an error.
+// TestVMLoopGuard verifies both engines abort runaway loops with an
+// error, including a runaway loop in one lane of a group whose other lanes
+// leave the loop: the VM must report the interpreter's error.
 func TestVMLoopGuard(t *testing.T) {
 	src := `precision highp float;
 void main() {
 	float s = 0.0;
-	for (int i = 0; i >= 0; i++) { s += 1.0; }
+	for (int i = 0; i >= 0; i++) {
+		if (gl_FragCoord.x != 5.5) { break; }
+		s += 1.0;
+	}
 	gl_FragColor = vec4(s);
 }`
 	prog := compileSrc(t, src, glsl.StageFragment)
@@ -612,7 +761,9 @@ void main() {
 	if err := ex.InitGlobals(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Run(); err == nil {
+	ex.SetFragCoord([4]float32{5.5, 0.5, 0, 1})
+	_, errI := ex.Run()
+	if errI == nil {
 		t.Fatal("interpreter did not catch runaway loop")
 	}
 	vm := NewVM(comp, nil, ExactSFU)
@@ -620,20 +771,30 @@ void main() {
 	if err := vm.InitGlobals(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vm.Run(); err == nil {
-		t.Fatal("VM did not catch runaway loop")
+	for l := 0; l < LaneWidth; l++ {
+		vm.SetFragCoord(l, [4]float32{float32(l) + 0.5, 0.5, 0, 1})
+	}
+	if _, err := vm.Run(LaneWidth); err == nil || err.Error() != errI.Error() {
+		t.Fatalf("VM group error %v, want %v", err, errI)
+	}
+	if _, err := vm.Run(5); err != nil {
+		t.Fatalf("lanes 0-4 leave the loop, got %v", err)
 	}
 }
 
-// TestVMZeroAllocRun verifies the VM's per-invocation path does not
-// allocate (the whole point of the bytecode engine).
+// TestVMZeroAllocRun verifies the lane engine allocates nothing per group
+// and nothing per repeated draw (Reset, uniforms, InitGlobals, groups) —
+// the whole point of a reusable register file.
 func TestVMZeroAllocRun(t *testing.T) {
 	src := `precision highp float;
 uniform float u_a;
+varying vec2 v_uv;
+float g = 1.0;
 void main() {
 	float acc = 0.0;
 	for (float k = 0.0; k < 16.0; k += 1.0) { acc += mod(k * u_a, 7.0); }
-	gl_FragColor = vec4(acc, exp2(u_a), log2(abs(u_a) + 2.0), 1.0);
+	if (v_uv.x > 0.5) { acc = -acc; } else { g += acc; }
+	gl_FragColor = vec4(acc, exp2(u_a), log2(abs(u_a) + 2.0), g);
 }`
 	prog := compileSrc(t, src, glsl.StageFragment)
 	comp, err := Compile(prog)
@@ -641,16 +802,32 @@ void main() {
 		t.Fatal(err)
 	}
 	vm := NewVM(comp, nil, DefaultSFU)
-	vm.SetGlobal(prog.LookupUniform("u_a"), FloatVal(1.75))
-	if err := vm.InitGlobals(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := vm.Run(); err != nil {
+	ua, uv := prog.LookupUniform("u_a"), prog.Varyings[0]
+	val := FloatVal(1.75)
+	draw := func() {
+		vm.Reset()
+		vm.SetGlobal(ua, val)
+		if err := vm.InitGlobals(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("VM.Run allocates %v times per invocation, want 0", allocs)
+		for l := 0; l < LaneWidth; l++ {
+			vm.SetGlobalFlat(l, uv, []float32{float32(l) / LaneWidth, 0})
+		}
+		for _, n := range []int{LaneWidth, 7} {
+			if _, err := vm.Run(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	draw()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := vm.Run(LaneWidth); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("VM.Run allocates %v times per group, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, draw); allocs != 0 {
+		t.Fatalf("a repeated draw allocates %v times, want 0", allocs)
 	}
 }
