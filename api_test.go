@@ -2,6 +2,7 @@ package glescompute_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -189,7 +190,7 @@ func TestPublicAPIQueue(t *testing.T) {
 		}
 		j, err := q.Submit(nil, glescompute.JobSpec{
 			Kernel:    sum,
-			Inputs:    []interface{}{a, b},
+			In:        []glescompute.JobInput{glescompute.Int32Input(a), glescompute.Int32Input(b)},
 			Batchable: true,
 		})
 		if err != nil {
@@ -225,7 +226,8 @@ func TestPublicAPIQueue(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(nil, glescompute.JobSpec{Kernel: sum, Inputs: []interface{}{[]int32{1}, []int32{2}}}); err != glescompute.ErrQueueClosed {
+	if _, err := q.Submit(nil, glescompute.JobSpec{Kernel: sum, In: []glescompute.JobInput{
+		glescompute.Int32Input([]int32{1}), glescompute.Int32Input([]int32{2})}}); err != glescompute.ErrQueueClosed {
 		t.Fatalf("Submit after Close: %v, want ErrQueueClosed", err)
 	}
 }
@@ -289,7 +291,7 @@ func TestPublicAPIErrClosed(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = q.Submit(nil, glescompute.JobSpec{Kernel: spec, Inputs: []interface{}{[]int32{1}}})
+	_, err = q.Submit(nil, glescompute.JobSpec{Kernel: spec, In: []glescompute.JobInput{glescompute.Int32Input([]int32{1})}})
 	if !errors.Is(err, glescompute.ErrQueueClosed) || !errors.Is(err, glescompute.ErrClosed) {
 		t.Errorf("Submit after Close: err = %v, want errors.Is ErrQueueClosed and ErrClosed", err)
 	}
@@ -463,8 +465,8 @@ func TestPublicAPIExecConfig(t *testing.T) {
 }
 
 // TestPublicAPITypedInputs submits a job through the typed JobInput route
-// and the deprecated []interface{} route and requires bit-identical
-// output — the migration contract for existing callers.
+// and requires output bit-identical to running the same kernel directly
+// on a device.
 func TestPublicAPITypedInputs(t *testing.T) {
 	q, err := glescompute.OpenQueue(glescompute.QueueConfig{Devices: 1})
 	if err != nil {
@@ -503,14 +505,42 @@ func TestPublicAPITypedInputs(t *testing.T) {
 		}
 		return out
 	}
-	legacy := run(glescompute.JobSpec{Kernel: spec, Inputs: []interface{}{xs, ys}})
 	typed := run(glescompute.JobSpec{Kernel: spec, In: []glescompute.JobInput{
 		glescompute.Float32Input(xs),
 		glescompute.Float32Input(ys),
 	}})
-	for i := range legacy {
-		if legacy[i] != typed[i] {
-			t.Fatalf("element %d: typed route %v, legacy route %v", i, typed[i], legacy[i])
+
+	dev, err := glescompute.Open(glescompute.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	k, err := dev.BuildKernel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([]*glescompute.Buffer, 3)
+	for i := range bufs {
+		if bufs[i], err = dev.NewBuffer(glescompute.Float32, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bufs[0].WriteFloat32(xs); err != nil {
+		t.Fatal(err)
+	}
+	if err := bufs[1].WriteFloat32(ys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run1(bufs[2], bufs[:2], nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := bufs[2].ReadFloat32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float32bits(want[i]) != math.Float32bits(typed[i]) {
+			t.Fatalf("element %d: typed route %v, direct run %v", i, typed[i], want[i])
 		}
 	}
 }

@@ -95,7 +95,7 @@ func main() {
 				}
 				job, err := q.Submit(nil, glescompute.JobSpec{
 					Kernel:    sum,
-					Inputs:    []interface{}{a, b},
+					In:        []glescompute.JobInput{glescompute.Int32Input(a), glescompute.Int32Input(b)},
 					Batchable: true, // element-wise: may share a launch
 				})
 				if err != nil {
@@ -144,7 +144,7 @@ func main() {
 	}
 	bigSpec := glescompute.JobSpec{
 		Kernel:   sum,
-		Inputs:   []interface{}{bigA, bigB},
+		In:       []glescompute.JobInput{glescompute.Int32Input(bigA), glescompute.Int32Input(bigB)},
 		Priority: glescompute.PriorityBatch, // best effort: first to shed
 	}
 	for i := 0; i < 4; i++ {

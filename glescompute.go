@@ -48,7 +48,7 @@
 //	defer q.Close()
 //	job, _ := q.Submit(ctx, glescompute.JobSpec{
 //		Kernel:    spec,
-//		Inputs:    []interface{}{xs, ys},
+//		In:        []glescompute.JobInput{glescompute.Float32Input(xs), glescompute.Float32Input(ys)},
 //		Batchable: true, // element-wise: eligible for coalescing
 //	})
 //	res, _ := job.Wait(ctx)

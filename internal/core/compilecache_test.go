@@ -76,7 +76,7 @@ func TestCompileCacheSharedAcrossDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 2, CompileCache: cc}
+	cfg := Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc}
 
 	d1, err := Open(cfg)
 	if err != nil {
@@ -125,7 +125,7 @@ func TestCompileCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := Open(Config{Workers: 2, CompileCache: cc1})
+	d1, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCompileCacheDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Open(Config{Workers: 2, CompileCache: cc2})
+	d2, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCompileCacheDiskPersistence(t *testing.T) {
 func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	cc1, _ := NewCompileCache(dir)
-	d1, err := Open(Config{Workers: 2, CompileCache: cc1})
+	d1, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 		}
 	}
 	cc2, _ := NewCompileCache(dir)
-	d2, err := Open(Config{Workers: 2, CompileCache: cc2})
+	d2, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 		cc3.put(key, []byte("not a program binary"))
 	}
 	cc4, _ := NewCompileCache(dir)
-	d3, err := Open(Config{Workers: 2, CompileCache: cc4})
+	d3, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}, CompileCache: cc4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestCompileCacheCorruptionFallsBack(t *testing.T) {
 func TestCompileCacheEnvDefault(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(EnvCompileCache, dir)
-	d, err := Open(Config{Workers: 2})
+	d, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestCompileCacheEnvDefault(t *testing.T) {
 		t.Fatal("env-configured cache wrote nothing")
 	}
 
-	di, err := Open(Config{Workers: 2, UseInterpreter: true})
+	di, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2, UseInterpreter: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,7 +269,7 @@ func TestConcurrentIndependentDevices(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			dev, err := Open(Config{Workers: 1})
+			dev, err := Open(Config{Exec: ExecConfig{RasterWorkers: 1}})
 			if err != nil {
 				errs <- err
 				return

@@ -11,7 +11,7 @@ import (
 
 func openTest(t *testing.T) *Device {
 	t.Helper()
-	d, err := Open(Config{Workers: 2})
+	d, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

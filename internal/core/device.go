@@ -78,17 +78,6 @@ type Config struct {
 	// that is unset. Ignored on interpreter devices (binaries carry
 	// bytecode only).
 	CompileCache *CompileCache
-
-	// Workers bounds fragment-stage parallelism (0 = GOMAXPROCS).
-	//
-	// Deprecated: set Exec.RasterWorkers. When both are set, Exec wins.
-	Workers int
-	// UseInterpreter runs shaders on the reference AST interpreter
-	// instead of the default bytecode VM.
-	//
-	// Deprecated: set Exec.UseInterpreter. Either field forces the
-	// interpreter.
-	UseInterpreter bool
 }
 
 // Timeline is the modeled wall-clock breakdown of everything executed
@@ -132,10 +121,9 @@ func (t Timeline) Add(o Timeline) Timeline {
 
 // Device is a simulated low-end mobile GPU opened for compute.
 type Device struct {
-	ctx  *gles.Context
-	gpu  *vc4.Model
-	cfg  Config
-	exec ExecConfig // resolved merge of cfg.Exec over the legacy fields
+	ctx *gles.Context
+	gpu *vc4.Model
+	cfg Config
 
 	quadPos []byte // interleaved fullscreen-quad vertices (challenge #2)
 	quadUV  []byte
@@ -163,7 +151,7 @@ type Device struct {
 
 // Open creates a compute device over a fresh simulated ES 2.0 context.
 func Open(cfg Config) (*Device, error) {
-	exec := cfg.mergeLegacy()
+	exec := cfg.Exec
 	if err := exec.validate(); err != nil {
 		return nil, err
 	}
@@ -187,7 +175,7 @@ func Open(cfg Config) (*Device, error) {
 		StrictAppendixA: cfg.StrictAppendixA,
 		UseInterpreter:  exec.UseInterpreter,
 	})
-	d := &Device{ctx: ctx, gpu: vc4.DefaultModel(), cfg: cfg, exec: exec}
+	d := &Device{ctx: ctx, gpu: vc4.DefaultModel(), cfg: cfg}
 	if !exec.UseInterpreter {
 		if d.ccache = cfg.CompileCache; d.ccache == nil {
 			d.ccache = envCompileCache()

@@ -149,20 +149,6 @@ func (e ExecConfig) validate() error {
 	return nil
 }
 
-// mergeLegacy folds the deprecated top-level Config knobs (Workers,
-// UseInterpreter) into an ExecConfig: explicit Exec fields win, legacy
-// fields fill the gaps.
-func (c Config) mergeLegacy() ExecConfig {
-	e := c.Exec
-	if e.RasterWorkers == 0 && c.Workers > 0 {
-		e.RasterWorkers = c.Workers
-	}
-	if c.UseInterpreter {
-		e.UseInterpreter = true
-	}
-	return e
-}
-
 // MergeExec fills the zero fields of dst from def and returns the merge —
 // how pool-wide defaults (sched.Config.Exec) compose with per-device
 // overrides: a field set in dst always wins.
@@ -182,8 +168,8 @@ func MergeExec(dst, def ExecConfig) ExecConfig {
 	return dst
 }
 
-// Exec returns the device's resolved execution configuration: the merge
-// of Config.Exec over the deprecated legacy fields. Environment fallbacks
-// (fusion, vec4 lanes) stay dynamic — they are consulted where the
-// feature is engaged, so tests may toggle the env vars after Open.
-func (d *Device) Exec() ExecConfig { return d.exec }
+// Exec returns the device's execution configuration (Config.Exec).
+// Environment fallbacks (fusion, vec4 lanes) stay dynamic — they are
+// consulted where the feature is engaged, so tests may toggle the env
+// vars after Open.
+func (d *Device) Exec() ExecConfig { return d.cfg.Exec }

@@ -7,9 +7,8 @@ import (
 )
 
 // exec_test.go pins the ExecConfig resolution contract: explicit field >
-// environment variable > built-in default, per field; the deprecated
-// legacy Config knobs keep working and lose to explicit Exec fields; and
-// out-of-domain values are rejected at Open, not silently coerced.
+// environment variable > built-in default, per field; and out-of-domain
+// values are rejected at Open, not silently coerced.
 
 func TestExecFusionPrecedence(t *testing.T) {
 	// Explicit toggles win in both directions regardless of the env var.
@@ -76,27 +75,6 @@ func TestExecWorkersPrecedence(t *testing.T) {
 	}
 }
 
-func TestExecMergeLegacy(t *testing.T) {
-	// Legacy fields fill gaps.
-	e := Config{Workers: 5, UseInterpreter: true}.mergeLegacy()
-	if e.RasterWorkers != 5 || !e.UseInterpreter {
-		t.Errorf("mergeLegacy = %+v, want legacy fields folded in", e)
-	}
-	// Explicit Exec wins over legacy Workers.
-	c := Config{Workers: 5}
-	c.Exec.RasterWorkers = 2
-	if e := c.mergeLegacy(); e.RasterWorkers != 2 {
-		t.Errorf("mergeLegacy RasterWorkers = %d, want explicit 2", e.RasterWorkers)
-	}
-	// Either interpreter flag forces the interpreter — a legacy caller
-	// and an Exec caller must both be able to force it on.
-	c = Config{}
-	c.Exec.UseInterpreter = true
-	if e := c.mergeLegacy(); !e.UseInterpreter {
-		t.Error("Exec.UseInterpreter lost in merge")
-	}
-}
-
 func TestExecMergePoolDefaults(t *testing.T) {
 	def := ExecConfig{Fusion: Disabled, Vec4Lanes: 1, RasterWorkers: 3, UseInterpreter: true}
 	// Zero dst inherits everything.
@@ -135,15 +113,13 @@ func TestExecValidateAtOpen(t *testing.T) {
 }
 
 func TestDeviceExecResolved(t *testing.T) {
-	cfg := Config{Workers: 2, UseInterpreter: true}
-	cfg.Exec.Fusion = Disabled
-	dev, err := Open(cfg)
+	dev, err := Open(Config{Exec: ExecConfig{RasterWorkers: 2, UseInterpreter: true, Fusion: Disabled}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
 	e := dev.Exec()
 	if e.RasterWorkers != 2 || !e.UseInterpreter || e.Fusion != Disabled {
-		t.Errorf("Device.Exec() = %+v, want legacy knobs merged with explicit Exec", e)
+		t.Errorf("Device.Exec() = %+v, want Config.Exec", e)
 	}
 }

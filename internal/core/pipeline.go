@@ -71,7 +71,7 @@ type Pipeline struct {
 // unless the EnvDisableFusion environment variable is set); SetFusion
 // overrides either default per pipeline.
 func (d *Device) NewPipeline() *Pipeline {
-	return &Pipeline{dev: d, pool: NewBufferPool(d), fusion: d.exec.FusionEnabled()}
+	return &Pipeline{dev: d, pool: NewBufferPool(d), fusion: d.cfg.Exec.FusionEnabled()}
 }
 
 // Err returns the first builder error, if any.

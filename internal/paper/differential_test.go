@@ -22,9 +22,9 @@ func withBothExecutors(t *testing.T, fn func() interface{}) (vm, interp interfac
 	defer func() { baseDeviceConfig = saved }()
 
 	baseDeviceConfig = saved
-	baseDeviceConfig.UseInterpreter = false
+	baseDeviceConfig.Exec.UseInterpreter = false
 	vm = fn()
-	baseDeviceConfig.UseInterpreter = true
+	baseDeviceConfig.Exec.UseInterpreter = true
 	interp = fn()
 	return vm, interp
 }
@@ -126,7 +126,7 @@ func TestDifferentialRawStats(t *testing.T) {
 		Out        []int32
 	}
 	run := func(useInterp bool) capture {
-		dev, err := core.Open(core.Config{UseInterpreter: useInterp})
+		dev, err := core.Open(core.Config{Exec: core.ExecConfig{UseInterpreter: useInterp}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -452,7 +452,7 @@ func measureContinuousBatching(res *NNResult) error {
 	dev.Close()
 
 	runCfg := func(continuous bool) (modeledUS float64, launches uint64, err error) {
-		cfg := sched.Config{Devices: 1, Device: core.Config{Workers: 1}}
+		cfg := sched.Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}}
 		if continuous {
 			// The window is a flush deadline, not a delay: the 16-request
 			// burst hits the early-flush bound long before it expires, so a
@@ -461,7 +461,7 @@ func measureContinuousBatching(res *NNResult) error {
 			cfg.MaxBatch = cbBucket
 			cfg.BatchWindow = 250 * time.Millisecond
 		} else {
-			cfg.DisableBatching = true
+			cfg.MaxBatch = 1
 		}
 		q, err := sched.OpenQueue(cfg)
 		if err != nil {
@@ -641,7 +641,7 @@ func measureCompileCacheWin(res *NNResult) error {
 func runNNServePoint(m *nn.Model, images []float32, want []float32,
 	requests, batch, devices int, ob *Obs) (NNServePoint, error) {
 	pt := NNServePoint{Devices: devices, Batch: batch}
-	cfg := sched.Config{Devices: devices, Device: core.Config{Workers: 1}}
+	cfg := sched.Config{Devices: devices, Exec: core.ExecConfig{RasterWorkers: 1}}
 	ob.apply(&cfg)
 	q, err := sched.OpenQueue(cfg)
 	if err != nil {

@@ -90,9 +90,9 @@ func RunServeModel(jobs, n int) (ServeModelResult, error) {
 	// batching off: the modeled Timeline of each launch is deterministic,
 	// and the first-run compile is excluded by priming each kernel once.
 	q, err := sched.OpenQueue(sched.Config{
-		Devices:         1,
-		DisableBatching: true,
-		Device:          core.Config{Workers: 1},
+		Devices:  1,
+		MaxBatch: 1,
+		Exec:     core.ExecConfig{RasterWorkers: 1},
 	})
 	if err != nil {
 		return res, err

@@ -142,7 +142,7 @@ func payloadFor(payloads []servePayload, i int) *servePayload {
 // serveReference computes the synchronous ground truth for every payload
 // with plain Kernel.Run on a dedicated device.
 func serveReference(payloads []servePayload) error {
-	dev, err := core.Open(core.Config{Workers: 1})
+	dev, err := core.Open(core.Config{Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		return err
 	}
@@ -202,14 +202,14 @@ func jobSpecFor(p *servePayload) sched.JobSpec {
 	if p.sgemm {
 		return sched.JobSpec{
 			Kernel:   serveSgemmSpec,
-			Inputs:   []interface{}{p.a, p.b},
+			In:       []sched.Input{sched.Int32s(p.a), sched.Int32s(p.b)},
 			MatrixN:  serveSgemmN,
 			Uniforms: map[string]float32{"u_n": serveSgemmN},
 		}
 	}
 	return sched.JobSpec{
 		Kernel:    serveSumSpec,
-		Inputs:    []interface{}{p.a, p.b},
+		In:        []sched.Input{sched.Int32s(p.a), sched.Int32s(p.b)},
 		Batchable: true,
 	}
 }
@@ -222,10 +222,12 @@ func jobSpecFor(p *servePayload) sched.JobSpec {
 func runServePoint(payloads []servePayload, jobs, devices int, batching bool, ob *Obs) (ServePoint, error) {
 	pt := ServePoint{Devices: devices, Batching: batching}
 	cfg := sched.Config{
-		Devices:         devices,
-		MaxBatch:        32,
-		DisableBatching: !batching,
-		Device:          core.Config{Workers: 1},
+		Devices:  devices,
+		MaxBatch: 1,
+		Exec:     core.ExecConfig{RasterWorkers: 1},
+	}
+	if batching {
+		cfg.MaxBatch = 32
 	}
 	ob.apply(&cfg)
 	q, err := sched.OpenQueue(cfg)

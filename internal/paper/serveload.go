@@ -187,9 +187,9 @@ func simServeLoad(svcUS []float64, meanSvcUS, load float64, pool int, sloUS floa
 // steady-state cost a served request pays), exactly as S2 measures them.
 func measureServiceTimes(payloads []servePayload) ([]float64, error) {
 	q, err := sched.OpenQueue(sched.Config{
-		Devices:         1,
-		DisableBatching: true,
-		Device:          core.Config{Workers: 1},
+		Devices:  1,
+		MaxBatch: 1,
+		Exec:     core.ExecConfig{RasterWorkers: 1},
 	})
 	if err != nil {
 		return nil, err
@@ -222,7 +222,7 @@ func runServeLoadLive(payloads []servePayload, requests int, sloUS float64, ob *
 		Devices:     2,
 		MaxBatch:    16,
 		BatchWindow: 500 * time.Microsecond,
-		Device:      core.Config{Workers: 1},
+		Exec:        core.ExecConfig{RasterWorkers: 1},
 		Admission:   sched.AdmissionPolicy{TargetDelay: time.Duration(sloUS) * time.Microsecond},
 	}
 	ob.apply(&cfg)

@@ -33,10 +33,10 @@ func quickJob(v int) JobSpec {
 // inequality at the boundary).
 func TestAdmissionShedsByClass(t *testing.T) {
 	q, err := OpenQueue(Config{
-		Devices:         1,
-		DisableBatching: true,
-		Device:          core.Config{Workers: 1},
-		Admission:       AdmissionPolicy{TargetDelay: 25 * time.Millisecond},
+		Devices:   1,
+		MaxBatch:  1,
+		Exec:      core.ExecConfig{RasterWorkers: 1},
+		Admission: AdmissionPolicy{TargetDelay: 25 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestAdmissionShedsByClass(t *testing.T) {
 // TestAdmissionDisabledNeverSheds: the zero AdmissionPolicy admits
 // everything no matter how deep the backlog gets.
 func TestAdmissionDisabledNeverSheds(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, DisableBatching: true, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAdmissionDisabledNeverSheds(t *testing.T) {
 // ahead of a batch-class one buffered earlier in the same window.
 func TestPriorityOrdersBatchFlush(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 30 * time.Millisecond,
-		Device: core.Config{Workers: 1}})
+		Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@ var benchSum = core.KernelSpec{
 	Source:  `float gc_kernel(float idx) { return gc_a(idx) + gc_b(idx); }`,
 }
 
-func benchQueue(b *testing.B, batching bool) {
+func benchQueue(b *testing.B, maxBatch int) {
 	q, err := OpenQueue(Config{
-		Devices: 1, MaxBatch: 32, DisableBatching: !batching,
-		Device: core.Config{Workers: 1},
+		Devices: 1, MaxBatch: maxBatch,
+		Exec: core.ExecConfig{RasterWorkers: 1},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -33,7 +33,7 @@ func benchQueue(b *testing.B, batching bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Submit(nil, JobSpec{Kernel: benchSum, Inputs: []interface{}{x, y}, Batchable: true}); err != nil {
+		if _, err := q.Submit(nil, JobSpec{Kernel: benchSum, In: []Input{Int32s(x), Int32s(y)}, Batchable: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,5 +43,5 @@ func benchQueue(b *testing.B, batching bool) {
 // BenchmarkQueueTinyJobsSolo prices the per-request cost without
 // coalescing; BenchmarkQueueTinyJobsBatched shows what request batching
 // recovers (per-launch overhead amortized across up to 32 jobs).
-func BenchmarkQueueTinyJobsSolo(b *testing.B)    { benchQueue(b, false) }
-func BenchmarkQueueTinyJobsBatched(b *testing.B) { benchQueue(b, true) }
+func BenchmarkQueueTinyJobsSolo(b *testing.B)    { benchQueue(b, 1) }
+func BenchmarkQueueTinyJobsBatched(b *testing.B) { benchQueue(b, 32) }

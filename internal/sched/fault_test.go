@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"glescompute/internal/core"
 	"glescompute/internal/fault"
+	"glescompute/internal/gles"
 )
 
 // faultQueue opens a pool whose devices carry injectors from the plan.
@@ -34,9 +36,9 @@ func faultQueue(t *testing.T, plan *fault.Plan, cfg Config) *Queue {
 func intJob(i int) JobSpec {
 	return JobSpec{
 		Kernel: sumIntSpec,
-		Inputs: []interface{}{
-			[]int32{int32(i), int32(i + 1), int32(i + 2), int32(i + 3)},
-			[]int32{10, 20, 30, 40},
+		In: []Input{
+			Int32s([]int32{int32(i), int32(i + 1), int32(i + 2), int32(i + 3)}),
+			Int32s([]int32{10, 20, 30, 40}),
 		},
 		Batchable: true,
 	}
@@ -50,7 +52,7 @@ func wantInt(i int) []int32 {
 // failure instead of crashing the pool, the device is replaced, and later
 // jobs run normally.
 func TestPanicRecovery(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestRetryThroughContextLoss(t *testing.T) {
 	})
 	// Small batches so each device performs enough draws for the whole
 	// fault schedule (early + terminal events) to fire.
-	q := faultQueue(t, plan, Config{Devices: 2, Device: core.Config{Workers: 1}, MaxBatch: 4})
+	q := faultQueue(t, plan, Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}, MaxBatch: 4})
 	defer q.Close()
 	const n = 200
 	jobs := make([]*Job, n)
@@ -150,11 +152,63 @@ func TestRetryThroughContextLoss(t *testing.T) {
 	}
 }
 
+// TestRetryBatchingThroughFaults: Batchable jobs with a retry budget keep
+// coalescing into packed launches while injected faults force retries,
+// and every job still returns bit-identical output.
+func TestRetryBatchingThroughFaults(t *testing.T) {
+	plan := fault.NewPlan(41, fault.Options{
+		OpHorizon:          24,
+		FaultyIncarnations: 1,
+	})
+	q := faultQueue(t, plan, Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1},
+		MaxBatch: 8, BatchWindow: time.Millisecond})
+	defer q.Close()
+	const n = 120
+	jobs := make([]*Job, n)
+	for i := range jobs {
+		spec := intJob(i)
+		spec.Retry = RetryPolicy{Max: 6, Backoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
+		j, err := q.Submit(nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	var maxAttempts, batched int
+	for i, j := range jobs {
+		res, err := j.Wait(nil)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		out, _ := res.Int32()
+		wantBitsEqual(t, fmt.Sprintf("job %d", i), wantInt(i), out)
+		if res.Stats.Attempts > maxAttempts {
+			maxAttempts = res.Stats.Attempts
+		}
+		if res.Stats.Batched {
+			batched++
+		}
+	}
+	st := q.Stats()
+	if plan.Stats().Total() == 0 {
+		t.Fatal("no faults fired — the retry half exercised nothing")
+	}
+	if st.Batches == 0 || batched == 0 {
+		t.Fatalf("no batches formed (%d batches, %d batched jobs) — the batching half exercised nothing", st.Batches, batched)
+	}
+	if maxAttempts < 2 {
+		t.Fatal("no job was retried — the retry half exercised nothing")
+	}
+	if st.Failed != 0 {
+		t.Fatalf("lost %d jobs\n%s", st.Failed, st.Report())
+	}
+}
+
 // TestRetryBudgetExhaustion: a job whose retries keep landing on faulting
 // devices eventually fails with the underlying error.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	calls := int32(0)
-	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{Workers: 1}, MaxReopens: 100})
+	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}, MaxReopens: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +240,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // TestDeadline: a job whose deadline expires before it runs completes with
 // an error wrapping context.DeadlineExceeded, and is never retried.
 func TestDeadline(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +290,7 @@ func TestGracefulDegradation(t *testing.T) {
 	})
 	// Only slot 0 faults: give slot 1 a clean injector by budgeting one
 	// faulty incarnation and asking for slot 1's injector first.
-	cfg := Config{Devices: 2, Device: core.Config{Workers: 1}, MaxReopens: -1}
+	cfg := Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}, MaxReopens: -1}
 	cfg.OpenDevice = func(slot int, dcfg core.Config) (*core.Device, error) {
 		dev, err := core.Open(dcfg)
 		if err != nil {
@@ -299,7 +353,7 @@ func TestGracefulDegradation(t *testing.T) {
 // submitted job completes, and Drain returns only with zero jobs in
 // flight at that instant.
 func TestDrainSubmitRace(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 2, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +422,7 @@ func TestDrainSubmitRace(t *testing.T) {
 // number of later waiters observe its result, whether the cancellation
 // happened before, during, or after completion.
 func TestWaitDetach(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,6 +505,137 @@ func TestWaitDetach(t *testing.T) {
 			// And a third waiter still sees it as well.
 			if res2, err := j.Wait(context.Background()); err != nil || res2.Output == nil {
 				t.Fatalf("third Wait: %v, %v", res2, err)
+			}
+		})
+	}
+}
+
+// TestWaitSeesSettledHealth: a launch that loses its device publishes its
+// outcome only once the slot's recovery has finished, so a caller
+// returning from Wait sees the replacement device Healthy — never the
+// slot mid-recovery — even when reopening is slow.
+func TestWaitSeesSettledHealth(t *testing.T) {
+	var opens atomic.Int32
+	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1},
+		OpenDevice: func(slot int, cfg core.Config) (*core.Device, error) {
+			if opens.Add(1) > 1 {
+				time.Sleep(50 * time.Millisecond)
+			}
+			return core.Open(cfg)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	j, err := q.Submit(nil, JobSpec{Direct: func(*core.Device) (interface{}, core.RunStats, error) {
+		return nil, core.RunStats{}, core.ErrDeviceLost
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(nil); !errors.Is(err, core.ErrDeviceLost) {
+		t.Fatalf("Wait: err = %v, want wrapped core.ErrDeviceLost", err)
+	}
+	if d := q.Stats().Devices[0]; d.Health != DeviceHealthy || d.Reopens != 1 {
+		t.Fatalf("after Wait: health %v, reopens %d; want %v after 1 reopen", d.Health, d.Reopens, DeviceHealthy)
+	}
+}
+
+// loseOnDraw is a fault injector that loses the context at its n-th draw
+// call and stays lost, like a dead real context.
+type loseOnDraw struct {
+	n, draws int
+}
+
+func (l *loseOnDraw) FaultBefore(op gles.FaultOp) gles.FaultAction {
+	if op == gles.FaultOpDraw && l.draws < l.n {
+		l.draws++
+	}
+	if l.draws == l.n {
+		return gles.FaultAction{DropOp: true, ErrCode: gles.CONTEXT_LOST, Detail: "context lost"}
+	}
+	return gles.FaultAction{}
+}
+
+func (l *loseOnDraw) FaultCorrupt([]byte) {}
+
+// TestUnpackableUnitRunsAlone covers the fallback for a Batchable unit
+// whose packed rows exceed MaxTextureSize: each member runs as its own
+// unit of one, bit-identical to solo execution. When the device dies
+// under member 1 (its single draw), member 0 keeps its result, member 1
+// fails, and member 2 bounces unexecuted; members that opted into Retry
+// then complete on the replacement device.
+func TestUnpackableUnitRunsAlone(t *testing.T) {
+	// At MaxGridWidth 1 each array is one texel wide, so three 1500-element
+	// members need 4500 rows: more than the 2048 a texture may have.
+	const n, members = 1500, 3
+	rng := rand.New(rand.NewSource(13))
+	as := make([][]float32, members)
+	bs := make([][]float32, members)
+	wants := make([]interface{}, members)
+	for i := range wants {
+		as[i], bs[i] = randFloats(rng, n), randFloats(rng, n)
+		wants[i] = soloReference(t, sumSpec, 0, n, nil, as[i], bs[i])
+	}
+	cases := []struct {
+		name     string
+		loseDraw int // draw on the first device that loses the context; 0 never
+		retry    bool
+		wantErr  []bool
+		attempts []int
+	}{
+		{name: "solo-fallback", wantErr: []bool{false, false, false}, attempts: []int{1, 1, 1}},
+		{name: "lost-bounces-rest", loseDraw: 2, wantErr: []bool{false, true, true}, attempts: []int{1, 1, 0}},
+		{name: "lost-then-retried", loseDraw: 2, retry: true, wantErr: []bool{false, false, false}, attempts: []int{1, 2, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var opens atomic.Int32
+			q, err := OpenQueue(Config{
+				Devices: 1, MaxBatch: 8, BatchWindow: 50 * time.Millisecond,
+				Device: core.Config{MaxGridWidth: 1, Exec: core.ExecConfig{RasterWorkers: 1}},
+				OpenDevice: func(slot int, cfg core.Config) (*core.Device, error) {
+					dev, err := core.Open(cfg)
+					if err == nil && opens.Add(1) == 1 && tc.loseDraw > 0 {
+						dev.GL().SetFaultInjector(&loseOnDraw{n: tc.loseDraw})
+					}
+					return dev, err
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			js := make([]*Job, members)
+			for i := range js {
+				spec := JobSpec{Kernel: sumSpec, In: []Input{Float32s(as[i]), Float32s(bs[i])}, Batchable: true}
+				if tc.retry {
+					spec.Retry = RetryPolicy{Max: 2}
+				}
+				if js[i], err = q.Submit(nil, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, j := range js {
+				res, err := j.Wait(nil)
+				if tc.wantErr[i] {
+					if !errors.Is(err, core.ErrDeviceLost) {
+						t.Fatalf("member %d: err = %v, want wrapped core.ErrDeviceLost", i, err)
+					}
+				} else if err != nil {
+					t.Fatalf("member %d: %v", i, err)
+				} else {
+					wantBitsEqual(t, fmt.Sprintf("member %d", i), wants[i], res.Output)
+					if res.Stats.BatchSize != 1 || res.Stats.Batched {
+						t.Fatalf("member %d: BatchSize %d Batched %v, want a unit of one", i, res.Stats.BatchSize, res.Stats.Batched)
+					}
+				}
+				if res.Stats.Attempts != tc.attempts[i] {
+					t.Fatalf("member %d: Attempts = %d, want %d", i, res.Stats.Attempts, tc.attempts[i])
+				}
+			}
+			if st := q.Stats(); st.Batches != 0 {
+				t.Fatalf("Batches = %d, want 0: the unit cannot share one texture", st.Batches)
 			}
 		})
 	}

@@ -55,7 +55,7 @@ func (g *groupRecorder) snapshot() [][]int {
 // submission order, each job receiving its own output.
 func TestGroupCoalescesWithinWindow(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 50 * time.Millisecond,
-		Device: core.Config{Workers: 1}})
+		Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestGroupCoalescesWithinWindow(t *testing.T) {
 // queue runs a lone group job immediately as its own launch — continuous
 // batching is strictly opt-in.
 func TestGroupWindowZeroStaysAdaptive(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestGroupWindowZeroStaysAdaptive(t *testing.T) {
 // coalesce per key — no launch ever mixes payloads across keys.
 func TestGroupKeysStayDisjoint(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 16, BatchWindow: 50 * time.Millisecond,
-		Device: core.Config{Workers: 1}})
+		Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestGroupValidation(t *testing.T) {
 		{"group and direct", JobSpec{Group: &GroupSpec{Key: "k", Run: run}, Direct: direct}},
 		{"group and batchable", JobSpec{Group: &GroupSpec{Key: "k", Run: run}, Batchable: true}},
 		{"group and kernel", JobSpec{Group: &GroupSpec{Key: "k", Run: run}, Kernel: sumSpec,
-			Inputs: []interface{}{[]float32{1}, []float32{2}}}},
+			In: []Input{Float32s([]float32{1}), Float32s([]float32{2})}}},
 	}
 	for _, tc := range cases {
 		if _, err := newJob(context.Background(), tc.spec); err == nil {
@@ -200,7 +200,7 @@ func TestGroupValidation(t *testing.T) {
 // output count fails every member with a diagnostic.
 func TestGroupFailuresFanOut(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 8, BatchWindow: 20 * time.Millisecond,
-		Device: core.Config{Workers: 1}})
+		Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestGroupFailuresFanOut(t *testing.T) {
 // in-flight — and every job must complete with its own output.
 func TestDrainRacesBatchWindow(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 2, MaxBatch: 8, BatchWindow: 2 * time.Millisecond,
-		Device: core.Config{Workers: 1}})
+		Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

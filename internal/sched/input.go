@@ -1,12 +1,8 @@
 package sched
 
-// Typed job inputs. JobSpec historically carried inputs as a bare
-// []interface{} — every mistake (wrong slice type, wrong count, a stray
-// scalar) surfaced only at Submit as a runtime error. Input moves the
-// element type into the constructor call, so misuse reads wrong at the
-// call site and the zero value is detectably invalid. The []interface{}
-// route keeps working as a deprecated shim; both routes normalize into the
-// same job, bit for bit (TestTypedInputsMatchLegacy).
+// Typed job inputs. Input moves the element type into the constructor
+// call, so a wrong slice type reads wrong at the call site instead of
+// surfacing at Submit, and the zero value is detectably invalid.
 
 import (
 	"fmt"
@@ -63,26 +59,4 @@ func FromBuffer(b *core.Buffer) (Input, error) {
 		return Input{}, fmt.Errorf("sched: FromBuffer: %w", err)
 	}
 	return Input{data: data}, nil
-}
-
-// normalizeInputs folds the typed In route into the legacy Inputs slice,
-// which the rest of the scheduler (validation, batching, launch) consumes
-// unchanged — so both routes produce identical jobs.
-func normalizeInputs(spec *JobSpec) error {
-	if len(spec.In) == 0 {
-		return nil
-	}
-	if len(spec.Inputs) > 0 {
-		return fmt.Errorf("sched: JobSpec sets both In and Inputs; use one input route")
-	}
-	ins := make([]interface{}, len(spec.In))
-	for i, in := range spec.In {
-		if in.data == nil {
-			return fmt.Errorf("sched: In[%d] is a zero Input; use Float32s/Int32s/Uint32s/Int8s/Bytes/FromBuffer", i)
-		}
-		ins[i] = in.data
-	}
-	spec.Inputs = ins
-	spec.In = nil
-	return nil
 }

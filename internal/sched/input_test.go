@@ -1,122 +1,12 @@
 package sched
 
 import (
-	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"glescompute/internal/codec"
 	"glescompute/internal/core"
-	"glescompute/internal/fault"
 )
-
-// TestTypedInputsMatchLegacy is the contract input.go's doc comment
-// promises: the typed In route and the legacy []interface{} route
-// normalize into the same job, bit for bit — same outputs, same stats
-// shape — for every element type.
-func TestTypedInputsMatchLegacy(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, DisableBatching: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	rng := rand.New(rand.NewSource(9))
-
-	const n = 257
-	af, bf := randFloats(rng, n), randFloats(rng, n)
-	ai := make([]int32, n)
-	bi := make([]int32, n)
-	for i := 0; i < n; i++ {
-		ai[i] = int32(rng.Intn(1<<20) - 1<<19)
-		bi[i] = int32(rng.Intn(1<<20) - 1<<19)
-	}
-
-	runBoth := func(name string, spec core.KernelSpec, legacy []interface{}, typed []Input) {
-		t.Helper()
-		jl, err := q.Submit(nil, JobSpec{Kernel: spec, Inputs: legacy})
-		if err != nil {
-			t.Fatalf("%s legacy submit: %v", name, err)
-		}
-		rl, err := jl.Wait(nil)
-		if err != nil {
-			t.Fatalf("%s legacy wait: %v", name, err)
-		}
-		jt, err := q.Submit(nil, JobSpec{Kernel: spec, In: typed})
-		if err != nil {
-			t.Fatalf("%s typed submit: %v", name, err)
-		}
-		rt, err := jt.Wait(nil)
-		if err != nil {
-			t.Fatalf("%s typed wait: %v", name, err)
-		}
-		wantBitsEqual(t, name, rl.Output, rt.Output)
-		if rl.Stats.BatchSize != rt.Stats.BatchSize || rl.Stats.Batched != rt.Stats.Batched {
-			t.Errorf("%s: execution shape differs: legacy %+v, typed %+v", name, rl.Stats, rt.Stats)
-		}
-	}
-
-	runBoth("float32", sumSpec,
-		[]interface{}{af, bf}, []Input{Float32s(af), Float32s(bf)})
-	runBoth("int32", sumIntSpec,
-		[]interface{}{ai, bi}, []Input{Int32s(ai), Int32s(bi)})
-}
-
-// TestLegacyInputsShimRetryBatching drives the deprecated []interface{}
-// input route through the stack's two orthogonal mechanisms at once —
-// request batching (Batchable, coalesced by the continuous-batching
-// window) and automatic retry over injected device faults. The shim must
-// be invisible to both: every job completes with bit-identical output,
-// batches actually form, and retries actually happen.
-func TestLegacyInputsShimRetryBatching(t *testing.T) {
-	plan := fault.NewPlan(41, fault.Options{
-		OpHorizon:          24,
-		FaultyIncarnations: 1,
-	})
-	q := faultQueue(t, plan, Config{Devices: 2, Device: core.Config{Workers: 1},
-		MaxBatch: 8, BatchWindow: time.Millisecond})
-	defer q.Close()
-	const n = 120
-	jobs := make([]*Job, n)
-	for i := range jobs {
-		spec := intJob(i) // legacy Inputs route, Batchable
-		spec.Retry = RetryPolicy{Max: 6, Backoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond}
-		j, err := q.Submit(nil, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = j
-	}
-	var maxAttempts, batched int
-	for i, j := range jobs {
-		res, err := j.Wait(nil)
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		out, _ := res.Int32()
-		wantBitsEqual(t, fmt.Sprintf("job %d", i), wantInt(i), out)
-		if res.Stats.Attempts > maxAttempts {
-			maxAttempts = res.Stats.Attempts
-		}
-		if res.Stats.Batched {
-			batched++
-		}
-	}
-	st := q.Stats()
-	if plan.Stats().Total() == 0 {
-		t.Fatal("no faults fired — the retry half exercised nothing")
-	}
-	if st.Batches == 0 || batched == 0 {
-		t.Fatalf("no batches formed (%d batches, %d batched jobs) — the batching half exercised nothing", st.Batches, batched)
-	}
-	if maxAttempts < 2 {
-		t.Fatal("no job was retried — the retry half exercised nothing")
-	}
-	if st.Failed != 0 {
-		t.Fatalf("lost %d jobs\n%s", st.Failed, st.Report())
-	}
-}
 
 // TestTypedInputFromBuffer checks the device-buffer constructor: the
 // snapshot is taken at construction, so mutating the buffer afterwards
@@ -156,7 +46,7 @@ func TestTypedInputFromBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := OpenQueue(Config{Devices: 1, DisableBatching: true})
+	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,23 +79,14 @@ func TestTypedInputFromBuffer(t *testing.T) {
 	}
 }
 
-// TestTypedInputValidation pins the misuse errors: both routes at once,
-// and the zero Input value.
+// TestTypedInputValidation pins the misuse error for the zero Input
+// value.
 func TestTypedInputValidation(t *testing.T) {
 	q, err := OpenQueue(Config{Devices: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	xs := []float32{1, 2, 3}
-
-	_, err = q.Submit(nil, JobSpec{Kernel: scaleSpec,
-		Inputs: []interface{}{xs}, In: []Input{Float32s(xs)},
-		Uniforms: map[string]float32{"u_s": 1}})
-	if err == nil || !strings.Contains(err.Error(), "both In and Inputs") {
-		t.Errorf("both-routes submit error = %v, want rejection", err)
-	}
-
 	_, err = q.Submit(nil, JobSpec{Kernel: scaleSpec, In: []Input{{}},
 		Uniforms: map[string]float32{"u_s": 1}})
 	if err == nil || !strings.Contains(err.Error(), "zero Input") {

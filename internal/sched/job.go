@@ -23,14 +23,8 @@ type JobSpec struct {
 	// device.
 	Kernel core.KernelSpec
 	// In holds one typed Input per kernel input (Float32s, Int32s,
-	// Uint32s, Int8s, Bytes, FromBuffer) — the preferred input route.
+	// Uint32s, Int8s, Bytes, FromBuffer), of the matching element type.
 	In []Input
-	// Inputs holds one host slice per kernel input, of the matching
-	// element type ([]float32, []int32, []uint32, []int8, []uint8).
-	//
-	// Deprecated: use In. Both routes produce identical jobs; setting
-	// both is an error.
-	Inputs []interface{}
 	// OutN is the output length. 0 means the length of the first input
 	// (or MatrixN² for matrix jobs).
 	OutN int
@@ -57,8 +51,8 @@ type JobSpec struct {
 	// sharing its sharding, backpressure and per-device timeline
 	// accounting. Callers keeping per-device state (compiled pipelines,
 	// resident weights) key it off the *core.Device they are handed.
-	// Direct jobs never coalesce; Kernel, Inputs, OutN, MatrixN, Uniforms
-	// and Batchable must be zero.
+	// Direct jobs never coalesce; Kernel, In, OutN, MatrixN, Uniforms and
+	// Batchable must be zero.
 	Direct func(dev *core.Device) (out interface{}, run core.RunStats, err error)
 	// Deadline bounds the job's total time in the service, from Submit to
 	// completion; 0 means none. It is enforced at scheduling checkpoints
@@ -73,8 +67,8 @@ type JobSpec struct {
 	// Same-Key jobs arriving within the queue's batching window
 	// (Config.BatchWindow) are handed to one GroupSpec.Run invocation on
 	// one device, which executes every member in a single batched pass.
-	// Group is exclusive with Direct; Kernel, Inputs, OutN, MatrixN,
-	// Uniforms and Batchable must be zero.
+	// Group is exclusive with Direct; Kernel, In, OutN, MatrixN, Uniforms
+	// and Batchable must be zero.
 	Group *GroupSpec
 	// Trace, when non-nil, is called on the executing device's goroutine
 	// after each execution attempt, with the attempt's launch span — the
@@ -178,6 +172,10 @@ type Job struct {
 	doneCh chan struct{}
 	span   *obs.Span // job span, nil when the queue has no tracer
 
+	// ins holds the host slices unwrapped from spec.In, one per kernel
+	// input.
+	ins []interface{}
+
 	// attempts counts executions so far. Touched only by the goroutine
 	// currently executing the job (workers hand the job off through the
 	// queue between attempts, never run it concurrently).
@@ -259,21 +257,20 @@ func (j *Job) Wait(ctx context.Context) (Result, error) {
 	}
 }
 
-// elemOf maps a host slice to its device element type.
-func elemOf(src interface{}) (codec.ElemType, bool) {
+// elemOf maps a host slice wrapped by an Input constructor to its device
+// element type.
+func elemOf(src interface{}) codec.ElemType {
 	switch src.(type) {
 	case []float32:
-		return codec.Float32, true
+		return codec.Float32
 	case []int32:
-		return codec.Int32, true
+		return codec.Int32
 	case []uint32:
-		return codec.Uint32, true
+		return codec.Uint32
 	case []int8:
-		return codec.Int8, true
-	case []uint8:
-		return codec.Uint8, true
+		return codec.Int8
 	}
-	return 0, false
+	return codec.Uint8
 }
 
 // outElem returns the element type of the kernel's single output.
@@ -286,8 +283,8 @@ func outElem(spec core.KernelSpec) codec.ElemType {
 
 // newJob validates a spec and builds the queued job.
 func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
-	build := func(spec JobSpec) *Job {
-		j := &Job{spec: spec, ctx: ctx, enq: time.Now(), doneCh: make(chan struct{})}
+	build := func(spec JobSpec, ins []interface{}) *Job {
+		j := &Job{spec: spec, ins: ins, ctx: ctx, enq: time.Now(), doneCh: make(chan struct{})}
 		if spec.Deadline > 0 {
 			j.ctx, j.cancel = context.WithTimeout(ctx, spec.Deadline)
 		}
@@ -296,8 +293,12 @@ func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
 	if spec.Retry.Max < 0 {
 		return nil, fmt.Errorf("sched: Retry.Max must be >= 0, got %d", spec.Retry.Max)
 	}
-	if err := normalizeInputs(&spec); err != nil {
-		return nil, err
+	ins := make([]interface{}, len(spec.In))
+	for i, in := range spec.In {
+		if in.data == nil {
+			return nil, fmt.Errorf("sched: In[%d] is a zero Input; use Float32s/Int32s/Uint32s/Int8s/Bytes/FromBuffer", i)
+		}
+		ins[i] = in.data
 	}
 	if spec.Deadline < 0 {
 		return nil, fmt.Errorf("sched: Deadline must be >= 0, got %v", spec.Deadline)
@@ -315,8 +316,8 @@ func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
 		}
 		if spec.Kernel.Name != "" || spec.Kernel.Source != "" ||
 			len(spec.Kernel.Inputs) > 0 || len(spec.Kernel.Outputs) > 0 || len(spec.Kernel.Uniforms) > 0 ||
-			len(spec.Inputs) > 0 || spec.OutN != 0 || spec.MatrixN != 0 || len(spec.Uniforms) > 0 {
-			return nil, fmt.Errorf("sched: %s job: Kernel/Inputs/OutN/MatrixN/Uniforms must be unset", kind)
+			len(ins) > 0 || spec.OutN != 0 || spec.MatrixN != 0 || len(spec.Uniforms) > 0 {
+			return nil, fmt.Errorf("sched: %s job: Kernel/In/OutN/MatrixN/Uniforms must be unset", kind)
 		}
 		if spec.Group != nil {
 			if spec.Group.Key == "" {
@@ -326,7 +327,7 @@ func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
 				return nil, fmt.Errorf("sched: group job: nil GroupSpec.Run")
 			}
 		}
-		j := build(spec)
+		j := build(spec, nil)
 		if spec.Group != nil {
 			// The NUL prefix keeps group keys disjoint from kernel batch
 			// keys (which start with a kernel name).
@@ -338,16 +339,12 @@ func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("sched: kernel %q has %d outputs; the queue executes single-output kernels (use Device.BuildKernel for multi-output)",
 			spec.Kernel.Name, len(spec.Kernel.Outputs))
 	}
-	if len(spec.Inputs) != len(spec.Kernel.Inputs) {
+	if len(ins) != len(spec.Kernel.Inputs) {
 		return nil, fmt.Errorf("sched: kernel %q declares %d inputs, job supplies %d",
-			spec.Kernel.Name, len(spec.Kernel.Inputs), len(spec.Inputs))
+			spec.Kernel.Name, len(spec.Kernel.Inputs), len(ins))
 	}
-	for i, src := range spec.Inputs {
-		t, ok := elemOf(src)
-		if !ok {
-			return nil, fmt.Errorf("sched: input %q: unsupported host slice type %T", spec.Kernel.Inputs[i].Name, src)
-		}
-		if t != spec.Kernel.Inputs[i].Type {
+	for i, src := range ins {
+		if t := elemOf(src); t != spec.Kernel.Inputs[i].Type {
 			return nil, fmt.Errorf("sched: input %q expects %s, job supplies %s",
 				spec.Kernel.Inputs[i].Name, spec.Kernel.Inputs[i].Type, t)
 		}
@@ -363,7 +360,7 @@ func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
 		if spec.OutN != want {
 			return nil, fmt.Errorf("sched: matrix job: OutN %d != MatrixN² (%d)", spec.OutN, want)
 		}
-		for i, src := range spec.Inputs {
+		for i, src := range ins {
 			if core.HostLen(src) != want {
 				return nil, fmt.Errorf("sched: matrix job: input %q has %d elements, want MatrixN² (%d)",
 					spec.Kernel.Inputs[i].Name, core.HostLen(src), want)
@@ -374,20 +371,20 @@ func newJob(ctx context.Context, spec JobSpec) (*Job, error) {
 		}
 	}
 	if spec.OutN == 0 {
-		if len(spec.Inputs) == 0 {
+		if len(ins) == 0 {
 			return nil, fmt.Errorf("sched: OutN required for kernels with no inputs")
 		}
-		spec.OutN = core.HostLen(spec.Inputs[0])
+		spec.OutN = core.HostLen(ins[0])
 	}
 	if spec.Batchable {
-		for i, src := range spec.Inputs {
+		for i, src := range ins {
 			if core.HostLen(src) != spec.OutN {
 				return nil, fmt.Errorf("sched: batchable (element-wise) job: input %q has %d elements, output has %d",
 					spec.Kernel.Inputs[i].Name, core.HostLen(src), spec.OutN)
 			}
 		}
 	}
-	j := build(spec)
+	j := build(spec, ins)
 	if spec.Batchable {
 		j.key = batchKey(spec)
 	}

@@ -64,10 +64,10 @@ type Config struct {
 	// Devices is the size of the device pool; 0 means 1.
 	Devices int
 	// Device configures every pooled device. When no rasterizer worker
-	// count is pinned anywhere (Device.Exec.RasterWorkers, Exec below,
-	// the deprecated Device.Workers, or GLESCOMPUTE_RASTER_WORKERS) and
-	// Devices > 1, each device's fragment-stage parallelism is capped to
-	// GOMAXPROCS/Devices so the pool does not oversubscribe the host.
+	// count is pinned anywhere (Device.Exec.RasterWorkers, Exec below, or
+	// GLESCOMPUTE_RASTER_WORKERS) and Devices > 1, each device's
+	// fragment-stage parallelism is capped to GOMAXPROCS/Devices so the
+	// pool does not oversubscribe the host.
 	Device core.Config
 	// Exec is the pool-wide execution-config default: fields left zero in
 	// Device.Exec are filled from it before devices open. A field set in
@@ -76,7 +76,8 @@ type Config struct {
 	// MaxPending bounds the submission queue; Submit blocks when it is
 	// full (backpressure). 0 means 1024.
 	MaxPending int
-	// MaxBatch caps how many jobs coalesce into one launch; 0 means 64.
+	// MaxBatch caps how many jobs coalesce into one launch; 0 means 64,
+	// and 1 runs every job as its own launch.
 	MaxBatch int
 	// BatchWindow enables continuous batching: the dispatcher holds
 	// coalescible jobs (Batchable kernel jobs and Group jobs) for up to
@@ -87,8 +88,6 @@ type Config struct {
 	// exactly when same-key work is already waiting, and an idle queue
 	// adds no latency.
 	BatchWindow time.Duration
-	// DisableBatching forces every job to run as its own launch.
-	DisableBatching bool
 	// Admission enables SLO-aware admission control: with a TargetDelay
 	// set, Submit sheds jobs (ErrShed) whose estimated modeled queue
 	// delay exceeds their JobSpec.Priority class's budget. The zero value
@@ -176,9 +175,6 @@ func OpenQueue(cfg Config) (*Queue, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	if cfg.DisableBatching {
-		cfg.MaxBatch = 1
-	}
 	dcfg := cfg.Device
 	dcfg.Exec = core.MergeExec(dcfg.Exec, cfg.Exec)
 	if dcfg.CompileCache == nil && os.Getenv(core.EnvCompileCache) == "" {
@@ -192,7 +188,7 @@ func OpenQueue(cfg Config) (*Queue, error) {
 			dcfg.CompileCache = cc
 		}
 	}
-	if !dcfg.Exec.WorkersPinned() && dcfg.Workers == 0 && cfg.Devices > 1 {
+	if !dcfg.Exec.WorkersPinned() && cfg.Devices > 1 {
 		if w := runtime.GOMAXPROCS(0) / cfg.Devices; w > 1 {
 			dcfg.Exec.RasterWorkers = w
 		} else {
@@ -317,16 +313,16 @@ func (q *Queue) Close() error {
 }
 
 // finishJob publishes a job's outcome and wakes Drain/Close when the
-// queue empties.
+// queue empties. Done closes under q.mu after the counters update and
+// before inFlight drops, so a caller returning from Wait sees its job
+// counted in Stats and Drain never returns with a job's Done still open.
 func (q *Queue) finishJob(j *Job, out interface{}, st JobStats, err error) {
 	if j.cancel != nil {
 		j.cancel() // release the deadline timer
 	}
 	q.noteLatency(j, st, err) // histograms + span end, before waiters wake
 	j.out, j.stats, j.err = out, st, err
-	close(j.doneCh)
 	q.mu.Lock()
-	q.inFlight--
 	switch {
 	case err == nil:
 		q.counts.completed++
@@ -338,6 +334,8 @@ func (q *Queue) finishJob(j *Job, out interface{}, st JobStats, err error) {
 		q.counts.failed++
 		q.met.failed.Inc()
 	}
+	close(j.doneCh)
+	q.inFlight--
 	if q.inFlight == 0 {
 		q.cond.Broadcast()
 	}

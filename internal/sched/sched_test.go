@@ -121,7 +121,7 @@ func randFloats(rng *rand.Rand, n int) []float32 {
 // TestSoloMatchesDirectRun pins the solo path: queue output must be
 // bit-identical to a synchronous Kernel.Run of the same request.
 func TestSoloMatchesDirectRun(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, DisableBatching: true})
+	q, err := OpenQueue(Config{Devices: 1, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSoloMatchesDirectRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 7, 64, 1000} {
 		a, b := randFloats(rng, n), randFloats(rng, n)
-		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{a, b}})
+		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(a), Float32s(b)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestBatchingBitIdentical(t *testing.T) {
 	submitted := make([]*Job, jobs)
 	for i := 0; i < jobs; i++ {
 		as[i], bs[i] = randFloats(rng, n), randFloats(rng, n)
-		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{as[i], bs[i]}, Batchable: true})
+		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(as[i]), Float32s(bs[i])}, Batchable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestBatchingMixedLengths(t *testing.T) {
 	for _, n := range lens {
 		a, b := randFloats(rng, n), randFloats(rng, n)
 		wants = append(wants, soloReference(t, sumSpec, 0, n, nil, a, b))
-		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{a, b}, Batchable: true})
+		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(a), Float32s(b)}, Batchable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,12 +225,15 @@ func TestBatchingMixedLengths(t *testing.T) {
 // packing was bounded by the raw texture caps instead of the device's
 // configured MaxGridWidth: jobs that ran fine solo failed with a
 // buffer-allocation error exactly when the queue got loaded enough to
-// coalesce them.
+// coalesce them. References are computed before anything is submitted,
+// and the batching window holds the burst, so the jobs coalesce however
+// long the first compile takes.
 func TestBatchingRespectsMaxGridWidth(t *testing.T) {
 	q, err := OpenQueue(Config{
-		Devices:  1,
-		MaxBatch: 8,
-		Device:   core.Config{MaxGridWidth: 16},
+		Devices:     1,
+		MaxBatch:    8,
+		BatchWindow: 20 * time.Millisecond,
+		Device:      core.Config{MaxGridWidth: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,12 +241,17 @@ func TestBatchingRespectsMaxGridWidth(t *testing.T) {
 	defer q.Close()
 	rng := rand.New(rand.NewSource(12))
 	const n = 64 // wider than MaxGridWidth: every array spans 4 rows
+	const jobs = 24
+	as := make([][]float32, jobs)
+	bs := make([][]float32, jobs)
+	wants := make([]interface{}, jobs)
+	for i := range wants {
+		as[i], bs[i] = randFloats(rng, n), randFloats(rng, n)
+		wants[i] = soloReference(t, sumSpec, 0, n, nil, as[i], bs[i])
+	}
 	var js []*Job
-	var wants []interface{}
-	for i := 0; i < 24; i++ {
-		a, b := randFloats(rng, n), randFloats(rng, n)
-		wants = append(wants, soloReference(t, sumSpec, 0, n, nil, a, b))
-		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{a, b}, Batchable: true})
+	for i := range wants {
+		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(as[i]), Float32s(bs[i])}, Batchable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +289,7 @@ func TestUniformsPartitionBatches(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		c := cse{x: randFloats(rng, n), s: float32(i%3) + 0.5}
 		j, err := q.Submit(nil, JobSpec{
-			Kernel: scaleSpec, Inputs: []interface{}{c.x},
+			Kernel: scaleSpec, In: []Input{Float32s(c.x)},
 			Uniforms: map[string]float32{"u_s": c.s}, Batchable: true,
 		})
 		if err != nil {
@@ -319,7 +327,7 @@ func TestIntBatch(t *testing.T) {
 			b[k] = int32(rng.Intn(1 << 20))
 		}
 		wants = append(wants, soloReference(t, sumIntSpec, 0, n, nil, a, b))
-		j, err := q.Submit(nil, JobSpec{Kernel: sumIntSpec, Inputs: []interface{}{a, b}, Batchable: true})
+		j, err := q.Submit(nil, JobSpec{Kernel: sumIntSpec, In: []Input{Int32s(a), Int32s(b)}, Batchable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +368,7 @@ func TestMatrixJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a, b := randFloats(rng, mn*mn), randFloats(rng, mn*mn)
 	uni := map[string]float32{"u_n": mn}
-	j, err := q.Submit(nil, JobSpec{Kernel: spec, Inputs: []interface{}{a, b}, MatrixN: mn, Uniforms: uni})
+	j, err := q.Submit(nil, JobSpec{Kernel: spec, In: []Input{Float32s(a), Float32s(b)}, MatrixN: mn, Uniforms: uni})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +384,7 @@ func TestMatrixJob(t *testing.T) {
 // per-device stats add up.
 func TestShardingAcrossDevices(t *testing.T) {
 	const devices = 3
-	q, err := OpenQueue(Config{Devices: devices, DisableBatching: true})
+	q, err := OpenQueue(Config{Devices: devices, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +394,7 @@ func TestShardingAcrossDevices(t *testing.T) {
 	var js []*Job
 	for i := 0; i < jobs; i++ {
 		a, b := randFloats(rng, 64), randFloats(rng, 64)
-		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{a, b}})
+		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(a), Float32s(b)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +435,7 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := []float32{1, 2, 3}
-	j, err := q.Submit(ctx, JobSpec{Kernel: sumSpec, Inputs: []interface{}{a, a}})
+	j, err := q.Submit(ctx, JobSpec{Kernel: sumSpec, In: []Input{Float32s(a), Float32s(a)}})
 	if err != nil {
 		// The queue was momentarily full and Submit itself honoured the
 		// cancelled context — also a valid outcome.
@@ -441,7 +449,7 @@ func TestCancellation(t *testing.T) {
 	}
 
 	// Wait's own context.
-	j2, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{a, a}})
+	j2, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(a), Float32s(a)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +477,7 @@ func TestDrainClose(t *testing.T) {
 	var js []*Job
 	for i := 0; i < 20; i++ {
 		a, b := randFloats(rng, 32), randFloats(rng, 32)
-		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{a, b}, Batchable: true})
+		j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(a), Float32s(b)}, Batchable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,63 +501,69 @@ func TestDrainClose(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Submit(nil, JobSpec{Kernel: sumSpec, Inputs: []interface{}{[]float32{1}, []float32{1}}}); !errors.Is(err, ErrQueueClosed) {
+	if _, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s([]float32{1}), Float32s([]float32{1})}}); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrQueueClosed", err)
 	}
 }
 
-// TestSubmitBackpressure wedges a tiny queue behind slow jobs and checks
-// that a Submit blocked on the full queue honours context cancellation.
+// TestSubmitBackpressure wedges a tiny queue behind a gated job and checks
+// that a Submit blocked on the full queue honours context cancellation,
+// and that the queue serves normally once the gate opens.
 func TestSubmitBackpressure(t *testing.T) {
-	slow := core.KernelSpec{
-		Name:   "slow",
-		Inputs: []core.Param{{Name: "x", Type: codec.Float32}},
-		Source: `float gc_kernel(float idx) {
-	float acc = 0.0;
-	for (float k = 0.0; k < 512.0; k += 1.0) { acc += fract(idx * 0.37 + k); }
-	return acc + gc_x(idx);
-}`,
-	}
 	q, err := OpenQueue(Config{
-		Devices: 1, MaxPending: 1, DisableBatching: true,
-		Device: core.Config{Workers: 1},
+		Devices: 1, MaxPending: 1, MaxBatch: 1,
+		Exec: core.ExecConfig{RasterWorkers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	x := make([]float32, 1024)
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j, err := q.Submit(nil, JobSpec{Kernel: slow, Inputs: []interface{}{x}})
-			if err != nil {
-				t.Errorf("background submit: %v", err)
-				return
-			}
-			if _, err := j.Wait(nil); err != nil {
-				t.Errorf("background wait: %v", err)
-			}
-		}()
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // before Close, so a failed check cannot wedge it
+	started := make(chan struct{})
+	blocker, err := q.Submit(nil, JobSpec{Direct: func(*core.Device) (interface{}, core.RunStats, error) {
+		close(started)
+		<-gate
+		return 0, core.RunStats{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Give the background submitters time to fill the queue, then try to
-	// push one more with a deadline that must expire while blocked.
-	time.Sleep(10 * time.Millisecond)
+	<-started
+	queued := []*Job{blocker}
+	// Fill every buffer between Submit and the wedged device: the
+	// worker's channel, the unit the dispatcher holds while blocked on
+	// that channel, and the submission channel.
+	for i := cap(q.workers[0].ch) + 1 + cap(q.pending); i > 0; i-- {
+		j, err := q.Submit(nil, gateJob(gate))
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, j)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if j, err := q.Submit(ctx, JobSpec{Kernel: slow, Inputs: []interface{}{x}}); err == nil {
-		// Space appeared before the deadline: the job must still run
-		// normally (no partial enqueue states).
-		if _, err := j.Wait(nil); err != nil {
-			t.Fatalf("squeezed-in job failed: %v", err)
-		}
-		t.Log("queue drained before deadline; backpressure not exercised this run")
-	} else if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("blocked Submit: err = %v, want context.DeadlineExceeded", err)
+	if _, err := q.Submit(ctx, gateJob(gate)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Submit on a full queue: err = %v, want context.DeadlineExceeded", err)
 	}
-	wg.Wait()
+	release()
+	for _, j := range queued {
+		if _, err := j.Wait(nil); err != nil {
+			t.Fatalf("queued job: %v", err)
+		}
+	}
+	x := make([]float32, 64)
+	j, err := q.Submit(nil, JobSpec{Kernel: sumSpec, In: []Input{Float32s(x), Float32s(x)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(nil); err != nil {
+		t.Fatalf("job after backpressure: %v", err)
+	}
+	if st := q.Stats(); st.Submitted != uint64(len(queued))+1 {
+		t.Fatalf("Submitted = %d, want %d (a rejected Submit must not count)", st.Submitted, len(queued)+1)
+	}
 }
 
 // TestConcurrentSubmitters hammers one queue from many goroutines with
@@ -573,7 +587,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 				n := 16 + rng.Intn(100)
 				a, b := randFloats(rng, n), randFloats(rng, n)
 				j, err := q.Submit(nil, JobSpec{
-					Kernel: sumSpec, Inputs: []interface{}{a, b}, Batchable: i%2 == 0,
+					Kernel: sumSpec, In: []Input{Float32s(a), Float32s(b)}, Batchable: i%2 == 0,
 				})
 				if err != nil {
 					t.Errorf("submit: %v", err)
@@ -606,7 +620,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 // worker's pinned device, its output and stats flow back through Job.Wait,
 // and the launch is charged to the device's modeled timeline.
 func TestDirectJobs(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 2, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 2, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -666,7 +680,7 @@ func TestDirectJobs(t *testing.T) {
 
 // TestDirectJobValidation rejects direct specs mixing in kernel fields.
 func TestDirectJobValidation(t *testing.T) {
-	q, err := OpenQueue(Config{Devices: 1, Device: core.Config{Workers: 1}})
+	q, err := OpenQueue(Config{Devices: 1, Exec: core.ExecConfig{RasterWorkers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +691,7 @@ func TestDirectJobValidation(t *testing.T) {
 	if _, err := q.Submit(nil, JobSpec{Direct: direct, Batchable: true}); err == nil {
 		t.Error("batchable direct job accepted")
 	}
-	if _, err := q.Submit(nil, JobSpec{Direct: direct, Kernel: sumSpec, Inputs: []interface{}{[]float32{1}, []float32{1}}}); err == nil {
+	if _, err := q.Submit(nil, JobSpec{Direct: direct, Kernel: sumSpec, In: []Input{Float32s([]float32{1}), Float32s([]float32{1})}}); err == nil {
 		t.Error("direct job with kernel fields accepted")
 	}
 	if _, err := q.Submit(nil, JobSpec{Direct: direct, OutN: 4}); err == nil {

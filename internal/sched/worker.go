@@ -9,7 +9,6 @@ import (
 	"glescompute/internal/codec"
 	"glescompute/internal/core"
 	"glescompute/internal/layout"
-	"glescompute/internal/obs"
 )
 
 // workUnit is what the dispatcher hands a device: one job, or a batch of
@@ -94,30 +93,36 @@ func (w *worker) exec(u *workUnit) {
 		}
 		return
 	}
+	var outs []outcome
 	if live[0].spec.Group != nil {
 		// A unit is single-key, so one group job means they all are.
-		w.execGroup(live)
-		w.maybeRecover()
-		return
-	}
-	if len(live) > 1 && w.execBatch(live) {
-		w.maybeRecover()
-		return
-	}
-	for i, j := range live {
-		w.execSolo(j)
-		if w.lostDevice {
-			// The device died under job i; bounce the rest of the unit
-			// (unexecuted, so no retry budget consumed) instead of feeding
-			// them to a dead context.
-			for _, jj := range live[i+1:] {
-				w.q.completeJob(jj, nil, JobStats{Device: w.id, Attempts: jj.attempts},
-					fmt.Errorf("sched: device %d lost mid-unit: %w", w.id, core.ErrDeviceLost))
+		outs = w.launch(live, w.runGroup)
+	} else if grid, offs, ok := w.pack(live); ok {
+		outs = w.launch(live, func(jobs []*Job) ([]interface{}, core.RunStats, error) {
+			return w.runPacked(jobs, grid, offs)
+		})
+	} else {
+		for i := range live {
+			outs = append(outs, w.launch(live[i:i+1], w.runOne)...)
+			if w.lostDevice {
+				// The device died under job i; bounce the rest of the unit
+				// (unexecuted, so no retry budget consumed) instead of
+				// feeding them to a dead context.
+				for _, j := range live[i+1:] {
+					outs = append(outs, outcome{j: j, st: JobStats{Device: w.id, Attempts: j.attempts},
+						err: fmt.Errorf("sched: device %d lost mid-unit: %w", w.id, core.ErrDeviceLost)})
+				}
+				break
 			}
-			break
 		}
 	}
+	// Outcomes are published only once the slot's health has settled, so
+	// a caller returning from Wait after a device loss sees the slot
+	// Healthy (replaced) or Dead, never mid-recovery.
 	w.maybeRecover()
+	for _, o := range outs {
+		w.q.completeJob(o.j, o.out, o.st, o.err)
+	}
 }
 
 // maybeRecover drives the health state machine after a unit whose device
@@ -182,8 +187,10 @@ func (w *worker) die() {
 	w.q.tracer.Instant(w.id, "dead", "replacement budget spent or reopen failed")
 }
 
-// note folds one launch into the per-device statistics.
-func (w *worker) note(jobs int, batched bool, dt core.Timeline, wall time.Duration) {
+// note folds one launch of jobs members into the per-device statistics;
+// a launch of more than one member is a batch.
+func (w *worker) note(jobs int, dt core.Timeline, wall time.Duration) {
+	batched := jobs > 1
 	w.q.mu.Lock()
 	w.st.Jobs += uint64(jobs)
 	w.st.Launches++
@@ -244,32 +251,72 @@ func (w *worker) jobBuffer(elem codec.ElemType, n, matrixN int) (*core.Buffer, e
 	return w.pool.Acquire(elem, n, grid)
 }
 
-// execSolo runs one job as its own launch.
-func (w *worker) execSolo(j *Job) {
-	j.attempts++
-	var sp *obs.Span
-	var spJobs []*Job
-	if w.q.tracer.Enabled() {
-		spJobs = []*Job{j}
-		sp = w.launchSpan(spJobs, launchName(j))
+// outcome is one member's launch result, held by exec until the unit's
+// device state has settled.
+type outcome struct {
+	j   *Job
+	out interface{}
+	st  JobStats
+	err error
+}
+
+// launch executes jobs as one launch through run, which returns one
+// output per job. It owns everything the job kinds share: attempt
+// counting, the launch span and Trace hooks, modeled and wall time,
+// per-device statistics, device-loss detection and the panic guard — a
+// panicking run (a broken Direct closure, a bug tickled by one request's
+// shape) fails every member as device-lost instead of crashing the
+// process, and the device is replaced (the panic may have left GL state
+// mid-operation).
+func (w *worker) launch(jobs []*Job, run func([]*Job) ([]interface{}, core.RunStats, error)) []outcome {
+	for _, j := range jobs {
+		j.attempts++
 	}
+	name := launchName(jobs[0])
+	sp := w.launchSpan(jobs, name)
 	start := time.Now()
 	t0 := w.dev.Timeline()
-	out, rs, err := w.runSoloGuarded(j)
+	outs, rs, err := func() (outs []interface{}, rs core.RunStats, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				w.q.notePanic()
+				outs, err = nil, fmt.Errorf("sched: launch %q panicked on device %d: %v: %w", name, w.id, r, core.ErrDeviceLost)
+			}
+		}()
+		return run(jobs)
+	}()
+	if err == nil && len(outs) != len(jobs) {
+		err = fmt.Errorf("sched: launch %q returned %d outputs for %d members", name, len(outs), len(jobs))
+	}
 	dt := w.dev.Timeline().Sub(t0)
 	wall := time.Since(start)
-	w.note(1, false, dt, wall)
+	w.note(len(jobs), dt, wall)
 	w.noteLost(err)
-	w.finishLaunchSpan(sp, spJobs, spJobs, start, dt, err)
-	w.q.completeJob(j, out, JobStats{
-		Device:    w.id,
-		BatchSize: 1,
-		Run:       rs,
-		Time:      dt,
-		QueueWait: start.Sub(j.enq),
-		Service:   wall,
-		Attempts:  j.attempts,
-	}, err)
+	traced := jobs
+	if jobs[0].spec.Group != nil {
+		// Only the first member's Trace hook runs: the launch (and its
+		// pass structure) is shared, so per-member hooks would duplicate
+		// children.
+		traced = jobs[:1]
+	}
+	w.finishLaunchSpan(sp, jobs, traced, start, dt, err)
+	res := make([]outcome, len(jobs))
+	for i, j := range jobs {
+		res[i] = outcome{j: j, err: err, st: JobStats{
+			Device:    w.id,
+			Batched:   len(jobs) > 1,
+			BatchSize: len(jobs),
+			Run:       rs,
+			Time:      dt,
+			QueueWait: start.Sub(j.enq),
+			Service:   wall,
+			Attempts:  j.attempts,
+		}}
+		if err == nil {
+			res[i].out = outs[i]
+		}
+	}
+	return res
 }
 
 // noteLost flags the device for recovery when an execution error (or the
@@ -288,113 +335,36 @@ func (w *worker) noteLost(err error) {
 	}
 }
 
-// runSoloGuarded is runSolo behind a panic guard: a panicking job — a
-// broken Direct closure, a bug tickled by one request's shape — completes
-// as a device-lost failure instead of crashing the process, and the
-// device is replaced (the panic may have left GL state mid-operation).
-func (w *worker) runSoloGuarded(j *Job) (out interface{}, rs core.RunStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.q.notePanic()
-			err = fmt.Errorf("sched: job panicked on device %d: %v: %w", w.id, r, core.ErrDeviceLost)
-		}
-	}()
-	return w.runSolo(j)
-}
-
-func (w *worker) runSolo(j *Job) (interface{}, core.RunStats, error) {
-	var rs core.RunStats
-	if j.spec.Direct != nil {
-		return j.spec.Direct(w.dev)
+// pack row-packs a kernel unit of two or more members into one shared
+// texture. Width is bounded by the device's effective layout bound (which
+// may be tighter than the raw texture caps), so packing never rejects a
+// job its solo layout would accept; a unit too tall for one texture
+// reports false and runs member by member.
+func (w *worker) pack(jobs []*Job) (layout.Grid, []int, bool) {
+	if len(jobs) < 2 {
+		return layout.Grid{}, nil, false
 	}
-	k, err := w.buildKernel(j.spec.Kernel)
-	if err != nil {
-		return nil, rs, err
-	}
-	var held []*core.Buffer
-	defer func() {
-		for _, b := range held {
-			w.pool.Release(b)
-		}
-	}()
-
-	ins := make([]*core.Buffer, len(j.spec.Inputs))
-	for i, src := range j.spec.Inputs {
-		b, err := w.jobBuffer(j.spec.Kernel.Inputs[i].Type, core.HostLen(src), j.spec.MatrixN)
-		if err != nil {
-			return nil, rs, err
-		}
-		held = append(held, b)
-		if err := b.WriteRange(0, src); err != nil {
-			return nil, rs, err
-		}
-		ins[i] = b
-	}
-	outB, err := w.jobBuffer(outElem(j.spec.Kernel), j.spec.OutN, j.spec.MatrixN)
-	if err != nil {
-		return nil, rs, err
-	}
-	held = append(held, outB)
-	rs, err = k.Run1(outB, ins, j.spec.Uniforms)
-	if err != nil {
-		return nil, rs, err
-	}
-	out, err := outB.ReadRange(0, j.spec.OutN)
-	return out, rs, err
-}
-
-// execGroup runs a unit of coalesced Group jobs as one launch: the first
-// member's GroupSpec.Run receives every member's payload and returns one
-// output per member. Failures (including panics, recovered as
-// device-lost) complete every member with the error.
-func (w *worker) execGroup(jobs []*Job) {
-	for _, j := range jobs {
-		j.attempts++
-	}
-	sp := w.launchSpan(jobs, launchName(jobs[0]))
-	start := time.Now()
-	t0 := w.dev.Timeline()
-	outs, rs, err := w.runGroupGuarded(jobs)
-	if err == nil && len(outs) != len(jobs) {
-		err = fmt.Errorf("sched: group %q returned %d outputs for %d members",
-			jobs[0].spec.Group.label(), len(outs), len(jobs))
-	}
-	dt := w.dev.Timeline().Sub(t0)
-	wall := time.Since(start)
-	w.note(len(jobs), len(jobs) > 1, dt, wall)
-	w.noteLost(err)
-	// Only the first member's Trace hook runs: the launch (and its pass
-	// structure) is shared, so per-member hooks would duplicate children.
-	w.finishLaunchSpan(sp, jobs, jobs[:1], start, dt, err)
+	ns := make([]int, len(jobs))
 	for i, j := range jobs {
-		st := JobStats{
-			Device:    w.id,
-			Batched:   len(jobs) > 1,
-			BatchSize: len(jobs),
-			Run:       rs,
-			Time:      dt,
-			QueueWait: start.Sub(j.enq),
-			Service:   wall,
-			Attempts:  j.attempts,
-		}
-		if err != nil {
-			w.q.completeJob(j, nil, st, err)
-		} else {
-			w.q.completeJob(j, outs[i], st, nil)
-		}
+		ns[i] = j.spec.OutN
 	}
+	grid, offs, err := layout.PackRows(ns, w.dev.MaxGridWidth(), w.dev.Caps().MaxTextureSize)
+	return grid, offs, err == nil
 }
 
-// runGroupGuarded invokes the group closure behind the same panic guard
-// as solo and batch execution.
-func (w *worker) runGroupGuarded(jobs []*Job) (outs []interface{}, rs core.RunStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.q.notePanic()
-			outs = nil
-			err = fmt.Errorf("sched: group panicked on device %d: %v: %w", w.id, r, core.ErrDeviceLost)
-		}
-	}()
+// runOne runs a unit of one: a Direct job's closure, or a kernel job in
+// its solo layouts.
+func (w *worker) runOne(jobs []*Job) ([]interface{}, core.RunStats, error) {
+	if direct := jobs[0].spec.Direct; direct != nil {
+		out, rs, err := direct(w.dev)
+		return []interface{}{out}, rs, err
+	}
+	return w.runKernel(jobs[0])
+}
+
+// runGroup hands every member's payload to the first member's
+// GroupSpec.Run, which returns one output per member.
+func (w *worker) runGroup(jobs []*Job) ([]interface{}, core.RunStats, error) {
 	payloads := make([]interface{}, len(jobs))
 	for i, j := range jobs {
 		payloads[i] = j.spec.Group.Payload
@@ -402,68 +372,47 @@ func (w *worker) runGroupGuarded(jobs []*Job) (outs []interface{}, rs core.RunSt
 	return jobs[0].spec.Group.Run(w.dev, payloads)
 }
 
-// execBatch coalesces the jobs into one launch. It returns false when the
-// batch cannot be packed (the caller falls back to solo execution);
-// execution errors complete every member with the error and return true.
-func (w *worker) execBatch(jobs []*Job) bool {
+// runKernel runs a kernel unit of one in its solo layouts (ForLength, or
+// Square for MatrixN) with its per-input lengths.
+func (w *worker) runKernel(j *Job) ([]interface{}, core.RunStats, error) {
+	spec := j.spec
+	out, rs, err := w.draw(spec, j.ins, spec.OutN, func(elem codec.ElemType, n int) (*core.Buffer, error) {
+		return w.jobBuffer(elem, n, spec.MatrixN)
+	})
+	return []interface{}{out}, rs, err
+}
+
+// runPacked runs a row-packed kernel unit (grid and offs from pack): each
+// input's member arrays become adjacent rows of one shared texture
+// uploaded in a single call, one fragment pass computes every member's
+// output, and one readback is sliced back into per-member outputs.
+func (w *worker) runPacked(jobs []*Job, grid layout.Grid, offs []int) ([]interface{}, core.RunStats, error) {
 	spec := jobs[0].spec
-	ns := make([]int, len(jobs))
-	for i, j := range jobs {
-		ns[i] = j.spec.OutN
+	srcs := make([]interface{}, len(spec.Kernel.Inputs))
+	for p, param := range spec.Kernel.Inputs {
+		src := newHostSlice(param.Type, grid.N)
+		for i, j := range jobs {
+			copyHostSlice(src, offs[i], j.ins[p])
+		}
+		srcs[p] = src
 	}
-	// Width is bounded by the device's effective layout bound (which may
-	// be tighter than the raw texture caps), so a batch never rejects a
-	// job its solo layout would accept.
-	grid, offs, err := layout.PackRows(ns, w.dev.MaxGridWidth(), w.dev.Caps().MaxTextureSize)
+	all, rs, err := w.draw(spec, srcs, grid.N, func(elem codec.ElemType, _ int) (*core.Buffer, error) {
+		return w.pool.Acquire(elem, grid.N, grid)
+	})
 	if err != nil {
-		return false // too large to share one texture: run solo
+		return nil, rs, err
 	}
-	for _, j := range jobs {
-		j.attempts++
-	}
-	sp := w.launchSpan(jobs, launchName(jobs[0]))
-	start := time.Now()
-	t0 := w.dev.Timeline()
-	outs, rs, err := w.runBatchGuarded(jobs, spec, grid, offs)
-	dt := w.dev.Timeline().Sub(t0)
-	wall := time.Since(start)
-	w.note(len(jobs), true, dt, wall)
-	w.noteLost(err)
-	w.finishLaunchSpan(sp, jobs, jobs, start, dt, err)
+	outs := make([]interface{}, len(jobs))
 	for i, j := range jobs {
-		st := JobStats{
-			Device:    w.id,
-			Batched:   true,
-			BatchSize: len(jobs),
-			Run:       rs,
-			Time:      dt,
-			QueueWait: start.Sub(j.enq),
-			Service:   wall,
-			Attempts:  j.attempts,
-		}
-		if err != nil {
-			w.q.completeJob(j, nil, st, err)
-		} else {
-			w.q.completeJob(j, outs[i], st, nil)
-		}
+		outs[i] = sliceHostCopy(all, offs[i], j.spec.OutN)
 	}
-	return true
+	return outs, rs, nil
 }
 
-// runBatchGuarded is runBatch behind the same panic guard as solo
-// execution; a panic fails the whole batch as device-lost.
-func (w *worker) runBatchGuarded(jobs []*Job, spec JobSpec, grid layout.Grid, offs []int) (outs []interface{}, rs core.RunStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.q.notePanic()
-			outs = nil
-			err = fmt.Errorf("sched: batch panicked on device %d: %v: %w", w.id, r, core.ErrDeviceLost)
-		}
-	}()
-	return w.runBatch(jobs, spec, grid, offs)
-}
-
-func (w *worker) runBatch(jobs []*Job, spec JobSpec, grid layout.Grid, offs []int) ([]interface{}, core.RunStats, error) {
+// draw uploads one host slice per kernel input into buffers from acquire,
+// runs one draw and reads outN output elements back. Every acquired
+// buffer returns to the pool when the draw is done.
+func (w *worker) draw(spec JobSpec, srcs []interface{}, outN int, acquire func(codec.ElemType, int) (*core.Buffer, error)) (interface{}, core.RunStats, error) {
 	var rs core.RunStats
 	k, err := w.buildKernel(spec.Kernel)
 	if err != nil {
@@ -475,35 +424,25 @@ func (w *worker) runBatch(jobs []*Job, spec JobSpec, grid layout.Grid, offs []in
 			w.pool.Release(b)
 		}
 	}()
-	packedBuf := func(elem codec.ElemType) (*core.Buffer, error) {
-		b, err := w.pool.Acquire(elem, grid.N, grid)
+	hold := func(elem codec.ElemType, n int) (*core.Buffer, error) {
+		b, err := acquire(elem, n)
 		if err == nil {
 			held = append(held, b)
 		}
 		return b, err
 	}
-
-	// Pack each input's member arrays into adjacent rows of one shared
-	// texture and upload it in a single call.
-	ins := make([]*core.Buffer, len(spec.Kernel.Inputs))
-	for p := range spec.Kernel.Inputs {
-		elem := spec.Kernel.Inputs[p].Type
-		packed := newHostSlice(elem, grid.N)
-		for ji, j := range jobs {
-			copyHostSlice(packed, offs[ji], j.spec.Inputs[p])
-		}
-		b, err := packedBuf(elem)
+	ins := make([]*core.Buffer, len(srcs))
+	for p, src := range srcs {
+		b, err := hold(spec.Kernel.Inputs[p].Type, core.HostLen(src))
 		if err != nil {
 			return nil, rs, err
 		}
-		if err := b.WriteRange(0, packed); err != nil {
+		if err := b.WriteRange(0, src); err != nil {
 			return nil, rs, err
 		}
 		ins[p] = b
 	}
-
-	// One fragment pass computes every member's output.
-	outB, err := packedBuf(outElem(spec.Kernel))
+	outB, err := hold(outElem(spec.Kernel), outN)
 	if err != nil {
 		return nil, rs, err
 	}
@@ -511,20 +450,9 @@ func (w *worker) runBatch(jobs []*Job, spec JobSpec, grid layout.Grid, offs []in
 	if err != nil {
 		return nil, rs, err
 	}
-
-	// One readback; slice each member's rows back out.
-	all, err := outB.ReadRange(0, grid.N)
-	if err != nil {
-		return nil, rs, err
-	}
-	outs := make([]interface{}, len(jobs))
-	for ji := range jobs {
-		outs[ji] = sliceHostCopy(all, offs[ji], ns(jobs[ji]))
-	}
-	return outs, rs, nil
+	out, err := outB.ReadRange(0, outN)
+	return out, rs, err
 }
-
-func ns(j *Job) int { return j.spec.OutN }
 
 // newHostSlice allocates a typed host slice of n elements.
 func newHostSlice(t codec.ElemType, n int) interface{} {
