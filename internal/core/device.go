@@ -96,18 +96,6 @@ func (t Timeline) Total() time.Duration {
 	return t.Compile + t.Upload + t.Execute + t.Readback
 }
 
-// Sub returns the componentwise difference t - o: the cost of the work
-// executed between two Timeline snapshots. Pipeline uses it to price one
-// chain under the timing model.
-func (t Timeline) Sub(o Timeline) Timeline {
-	return Timeline{
-		Compile:  t.Compile - o.Compile,
-		Upload:   t.Upload - o.Upload,
-		Execute:  t.Execute - o.Execute,
-		Readback: t.Readback - o.Readback,
-	}
-}
-
 // Add returns the componentwise sum t + o. The scheduler uses it to
 // accumulate per-launch timeline deltas into per-device busy time.
 func (t Timeline) Add(o Timeline) Timeline {
@@ -286,9 +274,27 @@ func (d *Device) ResetTimeline() {
 }
 
 // Timeline returns the modeled wall-clock breakdown since the last reset.
-func (d *Device) Timeline() Timeline {
-	tr := d.ctx.Transfers()
-	draws := d.ctx.Draws()
+func (d *Device) Timeline() Timeline { return d.price(d.ctx.Transfers(), d.ctx.Draws()) }
+
+// Counters is a snapshot of a device's cumulative timing-model inputs.
+type Counters struct {
+	Transfers gles.TransferStats
+	Draws     gles.DrawStats
+}
+
+// Counters snapshots the device's cumulative transfer and draw counters.
+func (d *Device) Counters() Counters { return Counters{d.ctx.Transfers(), d.ctx.Draws()} }
+
+// TimeSince prices the work done since snapshot c from that work's own
+// counters, so identical work costs the same whatever ran before it (the
+// difference of two cumulative Timelines, each truncated to the
+// nanosecond, can be off by one).
+func (d *Device) TimeSince(c Counters) Timeline {
+	return d.price(d.ctx.Transfers().Sub(c.Transfers), d.ctx.Draws().Sub(c.Draws))
+}
+
+// price converts transfer and draw counters to modeled time.
+func (d *Device) price(tr gles.TransferStats, draws gles.DrawStats) Timeline {
 	upload := time.Duration(float64(tr.TexUploadBytes) / d.gpu.UploadBytesPerSec * float64(time.Second))
 	upload += time.Duration(tr.TexUploadCalls) * d.gpu.UploadCallOverhead
 	readback := time.Duration(float64(tr.ReadPixelsBytes) / d.gpu.ReadbackBytesPerSec * float64(time.Second))

@@ -494,7 +494,6 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 	}
 
 	tr0 := p.dev.ctx.Transfers()
-	t0 := p.dev.Timeline()
 	allocs0, reuses0 := p.pool.allocs, p.pool.reuses
 
 	// Every pooled checkout is tracked so that error returns (and any
@@ -535,7 +534,7 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 	for ei := range p.plan.exec {
 		es := &p.plan.exec[ei]
 		stats.ExecStages[ei] = es.label
-		stageT0 := p.dev.Timeline()
+		stageC0 := p.dev.Counters()
 		stageIns := make([]*Buffer, len(es.ins))
 		for i, r := range es.ins {
 			if p.slots[r].fusedAway {
@@ -653,14 +652,17 @@ func (p *Pipeline) Run(outs []*Buffer, ins []*Buffer, uniforms map[string]float3
 		pending = kept
 		// The whole pass — fused members included — is charged to the
 		// chain's first builder stage; fused-away members keep a zero
-		// Timeline so the per-stage entries still sum to Time.
-		stats.StageTimes[es.members[0]] = stats.StageTimes[es.members[0]].Add(p.dev.Timeline().Sub(stageT0))
+		// Timeline. Every device operation of a run belongs to a pass,
+		// so Time is the sum of the pass times, each priced from its own
+		// counters.
+		st := p.dev.TimeSince(stageC0)
+		stats.StageTimes[es.members[0]] = stats.StageTimes[es.members[0]].Add(st)
+		stats.Time = stats.Time.Add(st)
 	}
 
 	tr1 := p.dev.ctx.Transfers()
 	stats.HostUploadBytes = tr1.TexUploadBytes - tr0.TexUploadBytes
 	stats.HostReadbackBytes = tr1.ReadPixelsBytes - tr0.ReadPixelsBytes
-	stats.Time = p.dev.Timeline().Sub(t0)
 	stats.PoolAllocs = p.pool.allocs - allocs0
 	stats.PoolReuses = p.pool.reuses - reuses0
 	return stats, nil

@@ -111,6 +111,35 @@ func (s *DrawStats) Add(o *DrawStats) {
 	s.FragmentStats.AddStats(&o.FragmentStats)
 }
 
+// Sub returns s - o: the draws counted after snapshot o of cumulative
+// statistics s.
+func (s DrawStats) Sub(o DrawStats) DrawStats {
+	return DrawStats{
+		DrawCalls:          s.DrawCalls - o.DrawCalls,
+		VertexInvocations:  s.VertexInvocations - o.VertexInvocations,
+		FragmentsShaded:    s.FragmentsShaded - o.FragmentsShaded,
+		FragmentsDiscarded: s.FragmentsDiscarded - o.FragmentsDiscarded,
+		PixelsWritten:      s.PixelsWritten - o.PixelsWritten,
+		VertexStats:        s.VertexStats.Sub(o.VertexStats),
+		FragmentStats:      s.FragmentStats.Sub(o.FragmentStats),
+	}
+}
+
+// Sub returns s - o: the transfers counted after snapshot o of cumulative
+// statistics s.
+func (s TransferStats) Sub(o TransferStats) TransferStats {
+	return TransferStats{
+		TexUploadBytes:  s.TexUploadBytes - o.TexUploadBytes,
+		TexUploadCalls:  s.TexUploadCalls - o.TexUploadCalls,
+		ReadPixelsBytes: s.ReadPixelsBytes - o.ReadPixelsBytes,
+		ReadPixelsCalls: s.ReadPixelsCalls - o.ReadPixelsCalls,
+		BufferDataBytes: s.BufferDataBytes - o.BufferDataBytes,
+		CompileCount:    s.CompileCount - o.CompileCount,
+		LinkCount:       s.LinkCount - o.LinkCount,
+		BinaryLoadCount: s.BinaryLoadCount - o.BinaryLoadCount,
+	}
+}
+
 // Context is a software OpenGL ES 2.0 rendering context. Like a real GL
 // context it is confined to one goroutine; no method is safe for concurrent
 // use (the fragment stage parallelism is internal).
@@ -181,6 +210,8 @@ type Context struct {
 	transfers TransferStats
 	draws     DrawStats
 	lastDraw  DrawStats
+
+	dispatches uint64 // see VMDispatches
 }
 
 type textureUnit struct {
@@ -570,6 +601,13 @@ func (c *Context) Draws() DrawStats { return c.draws }
 
 // LastDraw returns statistics for the most recent draw call.
 func (c *Context) LastDraw() DrawStats { return c.lastDraw }
+
+// VMDispatches reports the bytecode instructions the context's lane
+// engines have decoded since it was created, one per instruction per
+// group of up to 16 invocations. It measures the simulator's own
+// interpreter overhead on the host clock, is no input to the timing
+// model, and ResetStats leaves it alone.
+func (c *Context) VMDispatches() uint64 { return c.dispatches }
 
 // ResetStats clears accumulated statistics (transfers and draws).
 func (c *Context) ResetStats() {

@@ -176,6 +176,7 @@ func (c *Context) draw(mode uint32, indices []int) {
 	}
 	stats.VertexInvocations = uint64(len(indices))
 	stats.VertexStats = *vex.StatsRef()
+	c.countDispatches(vex)
 
 	// ---- Primitive assembly ----
 	var tris [][3]raster.ShadedVertex
@@ -280,6 +281,7 @@ func (c *Context) draw(mode uint32, indices []int) {
 		}
 		fw.stats.FragmentStats.AddStats(fw.ex.StatsRef())
 		stats.Add(&fw.stats)
+		c.countDispatches(fw.ex)
 		fw.end()
 	}
 	if failed != nil {
@@ -576,6 +578,14 @@ func (c *Context) blend(sr, sg, sb, sa, dr, dg, db, da float32) (r, g, b, a floa
 		}
 	}
 	return out[0], out[1], out[2], out[3]
+}
+
+// countDispatches adds the instructions a lane engine decoded this draw
+// to VMDispatches; the interpreter decodes none.
+func (c *Context) countDispatches(ex shader.Executor) {
+	if vm, ok := ex.(*shader.VM); ok {
+		c.dispatches += vm.Dispatches
+	}
 }
 
 // pushUniforms copies program uniform values into an executor.

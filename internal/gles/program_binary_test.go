@@ -52,6 +52,16 @@ func setupBinaryDraw(t *testing.T, c *Context, prog uint32) {
 	fullscreenQuad(t, c, prog)
 }
 
+// compiledFS is a linked program's fragment bytecode.
+func compiledFS(t *testing.T, c *Context, prog uint32) *shader.Compiled {
+	t.Helper()
+	p := c.programs[prog]
+	if p == nil || p.fsCode == nil {
+		t.Fatalf("program %d has no fragment bytecode", prog)
+	}
+	return p.fsCode
+}
+
 // TestProgramBinaryRoundTrip links a program from source, serializes it,
 // restores it into a fresh program object on a fresh context, and checks
 // the restored program draws bit-identical pixels with identical shader
@@ -63,6 +73,11 @@ func TestProgramBinaryRoundTrip(t *testing.T) {
 	blob := src.GetProgramBinary(prog)
 	if blob == nil {
 		t.Fatalf("GetProgramBinary failed: 0x%04x %s", src.GetError(), src.LastErrorDetail())
+	}
+	// The blob carries the lean bytecode: a constant pool, and accum
+	// lowered into main rather than called.
+	if fs := compiledFS(t, src, prog); fs.PoolLen() == 0 || fs.Bodies() != 1 {
+		t.Fatalf("fragment program has %d pool registers and %d function bodies, want a pool and main alone", fs.PoolLen(), fs.Bodies())
 	}
 	setupBinaryDraw(t, src, prog)
 	src.DrawArrays(TRIANGLES, 0, 6)
@@ -88,6 +103,10 @@ func TestProgramBinaryRoundTrip(t *testing.T) {
 	}
 	if after.CompileCount != before.CompileCount || after.LinkCount != before.LinkCount {
 		t.Errorf("binary restore must not count as compile/link: %+v -> %+v", before, after)
+	}
+	if a, b := compiledFS(t, src, prog), compiledFS(t, dst, prog2); a.PoolLen() != b.PoolLen() || a.CodeLen() != b.CodeLen() {
+		t.Errorf("restored fragment program has %d pool registers and %d instructions, source %d and %d",
+			b.PoolLen(), b.CodeLen(), a.PoolLen(), a.CodeLen())
 	}
 	if loc := dst.GetUniformLocation(prog2, "u_scale[2]"); loc < 0 {
 		t.Error("restored program lost uniform array leaf u_scale[2]")

@@ -1,6 +1,10 @@
 package gles
 
-import "math"
+import (
+	"math"
+
+	"glescompute/internal/shader"
+)
 
 // Texture is a texture object. All formats are stored internally as RGBA8 —
 // exactly the only sized storage ES 2.0 guarantees, which is what forces
@@ -454,6 +458,8 @@ type boundTexture struct {
 
 var opaqueBlack = [4]float32{0, 0, 0, 1}
 
+var unbound boundTexture // samples opaque black
+
 // resolve binds the context's texture units as they are at draw start.
 func (s *drawSampler) resolve(c *Context) {
 	if s.tex2D == nil {
@@ -489,6 +495,9 @@ func (c *Context) bindTexture(id uint32) boundTexture {
 }
 
 func (b *boundTexture) sample(s, t float32) [4]float32 {
+	if b.lv == nil {
+		return opaqueBlack
+	}
 	if b.linear {
 		return b.lv.sampleLinear(s, t, b.wrapS, b.wrapT)
 	}
@@ -497,10 +506,16 @@ func (b *boundTexture) sample(s, t float32) [4]float32 {
 
 // Sample2D implements shader.TextureSampler.
 func (s *drawSampler) Sample2D(unit int, u, v float32) [4]float32 {
-	if unit < 0 || unit >= len(s.tex2D) || s.tex2D[unit].lv == nil {
-		return opaqueBlack
+	return s.unit(s.tex2D, unit).sample(u, v)
+}
+
+// unit is a unit's resolved binding, or the unbound (opaque black) one
+// for a unit outside the context's range.
+func (s *drawSampler) unit(units []boundTexture, unit int) *boundTexture {
+	if unit < 0 || unit >= len(units) {
+		return &unbound
 	}
-	return s.tex2D[unit].sample(u, v)
+	return &units[unit]
 }
 
 // minified estimates the sampling footprint (the GL scale factor ρ) for
@@ -522,21 +537,45 @@ func (c *Context) minified(tex *Texture) bool {
 // major-axis face but this implementation stores a single face; GPGPU code
 // never uses cube maps, so faces alias face 0 (documented limitation).
 func (s *drawSampler) SampleCube(unit int, x, y, z float32) [4]float32 {
-	if unit < 0 || unit >= len(s.texCube) || s.texCube[unit].lv == nil {
-		return opaqueBlack
+	u, v := cubeCoords(x, y, z)
+	return s.unit(s.texCube, unit).sample(u, v)
+}
+
+// SampleLanes implements shader.TextureSampler: one texture instruction
+// over a lane group. The unit's binding is looked up once and again only
+// when a lane names a different unit (sampler uniforms are the same in
+// every lane of a draw).
+func (s *drawSampler) SampleLanes(unit, u, v, w *[shader.LaneWidth]float32, act []uint8, out *[4][shader.LaneWidth]float32) {
+	units := s.tex2D
+	if w != nil {
+		units = s.texCube
 	}
-	// Major-axis projection to 2D coordinates.
+	cur, b := -1, &unbound // unit -1 is unbound too
+	for _, l := range act {
+		l &= shader.LaneWidth - 1
+		if k := int(unit[l]); k != cur {
+			cur, b = k, s.unit(units, k)
+		}
+		x, y := u[l], v[l]
+		if w != nil {
+			x, y = cubeCoords(x, y, w[l])
+		}
+		rgba := b.sample(x, y)
+		out[0][l], out[1][l], out[2][l], out[3][l] = rgba[0], rgba[1], rgba[2], rgba[3]
+	}
+}
+
+// cubeCoords projects a cube-map direction onto its major axis's face.
+func cubeCoords(x, y, z float32) (u, v float32) {
 	as, at, ar := abs32(x), abs32(y), abs32(z)
-	var u, v float32
 	switch {
 	case ar >= as && ar >= at:
-		u, v = (x/ar+1)/2, (y/ar+1)/2
+		return (x/ar + 1) / 2, (y/ar + 1) / 2
 	case as >= at:
-		u, v = (z/as+1)/2, (y/as+1)/2
+		return (z/as + 1) / 2, (y/as + 1) / 2
 	default:
-		u, v = (x/at+1)/2, (z/at+1)/2
+		return (x/at + 1) / 2, (z/at + 1) / 2
 	}
-	return s.texCube[unit].sample(u, v)
 }
 
 // unorm8 maps a texel byte c to c / (2^8 - 1), equation (1) of the

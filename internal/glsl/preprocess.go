@@ -51,12 +51,23 @@ type condState struct {
 	startedLine int
 }
 
+// Expansion budgets. Macros that expand past them are rejected: a chain
+// of doubling #defines grows exponentially, 2^30 tokens at depth 30.
+const (
+	maxExpandDepth  = 64      // macro expansions nested inside one another
+	maxExpandTokens = 1 << 18 // tokens all macro expansions of a source produce
+)
+
 type preprocessor struct {
 	macros map[string]macro
 	conds  []condState
 	errs   ErrorList
 	result PreprocessResult
 	out    strings.Builder
+
+	outer      string // the macro the current top-level expansion started from
+	tokens     int    // tokens expanded so far
+	overBudget bool   // an expansion budget ran out; expansion has stopped
 }
 
 func (p *preprocessor) errorf(line int, format string, args ...interface{}) {
@@ -272,7 +283,10 @@ func (p *preprocessor) define(line int, rest string) {
 
 // expand performs macro expansion on one line of ordinary source text.
 // hide lists macros currently being expanded (to prevent recursion).
-func (p *preprocessor) expand(line string, lineNum int, hide map[string]bool) string {
+func (p *preprocessor) expand(line string, lineNum int, hide *hidden) string {
+	if p.overBudget {
+		return ""
+	}
 	var b strings.Builder
 	i := 0
 	for i < len(line) {
@@ -288,13 +302,19 @@ func (p *preprocessor) expand(line string, lineNum int, hide map[string]bool) st
 			}
 			word := line[i:j]
 			m, ok := p.macros[word]
-			if !ok || (hide != nil && hide[word]) {
+			if !ok || hide.has(word) {
 				b.WriteString(word)
 				i = j
 				continue
 			}
+			if hide == nil {
+				p.outer = word
+			}
 			if !m.function {
-				b.WriteString(p.expand(m.body, lineNum, withHidden(hide, word)))
+				if !p.spend(m.body, lineNum, hide) {
+					return b.String()
+				}
+				b.WriteString(p.expand(m.body, lineNum, hide.push(word)))
 				i = j
 				continue
 			}
@@ -321,7 +341,10 @@ func (p *preprocessor) expand(line string, lineNum int, hide map[string]bool) st
 			}
 			body := m.body
 			expanded := substituteParams(body, m.params, args)
-			b.WriteString(p.expand(expanded, lineNum, withHidden(hide, word)))
+			if !p.spend(expanded, lineNum, hide) {
+				return b.String()
+			}
+			b.WriteString(p.expand(expanded, lineNum, hide.push(word)))
 			i = end
 		default:
 			b.WriteByte(c)
@@ -331,12 +354,69 @@ func (p *preprocessor) expand(line string, lineNum int, hide map[string]bool) st
 	return b.String()
 }
 
-func withHidden(hide map[string]bool, name string) map[string]bool {
-	m := map[string]bool{name: true}
-	for k, v := range hide {
-		m[k] = v
+// spend charges one macro expansion producing text, nested inside the
+// expansions of hide, against the budgets. Once one runs out it reports
+// the top-level macro and expansion stops for the rest of the source.
+func (p *preprocessor) spend(text string, lineNum int, hide *hidden) bool {
+	p.tokens += countTokens(text)
+	switch {
+	case hide.len() >= maxExpandDepth:
+		p.errorf(lineNum, "macro %q: expansion nests more than %d macros deep", p.outer, maxExpandDepth)
+	case p.tokens > maxExpandTokens:
+		p.errorf(lineNum, "macro %q: expansion exceeds %d tokens", p.outer, maxExpandTokens)
+	default:
+		return true
 	}
-	return m
+	p.overBudget = true
+	return false
+}
+
+// countTokens counts the tokens of text: identifier and number runs and
+// other non-space characters.
+func countTokens(text string) int {
+	n := 0
+	for i := 0; i < len(text); {
+		c := text[i]
+		switch {
+		case c == ' ' || c == '\t':
+			i++
+			continue
+		case isIdentCont(c):
+			for i < len(text) && isIdentCont(text[i]) {
+				i++
+			}
+		default:
+			i++
+		}
+		n++
+	}
+	return n
+}
+
+// hidden lists the macros being expanded, innermost first; nil is the
+// empty list.
+type hidden struct {
+	name  string
+	next  *hidden
+	depth int
+}
+
+func (h *hidden) push(name string) *hidden { return &hidden{name, h, h.len() + 1} }
+
+func (h *hidden) len() int {
+	if h == nil {
+		return 0
+	}
+	return h.depth
+}
+
+func (h *hidden) has(name string) bool {
+	for ; h != nil; h = h.next {
+		if h.name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // scanMacroArgs scans a parenthesized argument list starting at line[open]=='('.

@@ -1,8 +1,12 @@
 package glsl
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPreprocessVersion(t *testing.T) {
@@ -245,5 +249,76 @@ func TestPreprocessVersionMacro(t *testing.T) {
 	}
 	if !strings.Contains(res.Source, "int v100;") {
 		t.Errorf("__VERSION__ not predefined: %q", res.Source)
+	}
+}
+
+// doublingChain defines A0 as one token and each A<i> as two copies of
+// A<i-1>, then uses A<depth>: 2^depth tokens from a few lines of source.
+func doublingChain(depth int) string {
+	var b strings.Builder
+	b.WriteString("#define A0 x\n")
+	for i := 1; i <= depth; i++ {
+		fmt.Fprintf(&b, "#define A%d A%d A%d\n", i, i-1, i-1)
+	}
+	fmt.Fprintf(&b, "float y = A%d;\n", depth)
+	return b.String()
+}
+
+// TestPreprocessExpansionBudget: macro expansion is bounded. A 30-deep
+// doubling chain (2^30 tokens) used to run without end; it is now rejected
+// within a second by a diagnostic naming the macro, as is a chain nested
+// deeper than the nesting budget. Chains within the budgets expand in
+// full.
+func TestPreprocessExpansionBudget(t *testing.T) {
+	start := time.Now()
+	_, errs := Preprocess(doublingChain(30))
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("rejecting a 30-deep doubling chain took %v", el)
+	}
+	if errs.Err() == nil || !strings.Contains(errs.Err().Error(), `macro "A30"`) ||
+		!strings.Contains(errs.Err().Error(), "tokens") {
+		t.Fatalf("30-deep doubling chain: got %v, want a token-budget error naming A30", errs.Err())
+	}
+
+	res, errs := Preprocess(doublingChain(16))
+	if errs.Err() != nil {
+		t.Fatalf("16-deep doubling chain: %v", errs)
+	}
+	if n := strings.Count(res.Source, "x"); n != 1<<16 {
+		t.Fatalf("16-deep doubling chain expanded to %d tokens, want %d", n, 1<<16)
+	}
+
+	var deep strings.Builder
+	deep.WriteString("#define B0 x\n")
+	for i := 1; i <= maxExpandDepth+5; i++ {
+		fmt.Fprintf(&deep, "#define B%d B%d\n", i, i-1)
+	}
+	fmt.Fprintf(&deep, "float y = B%d;\n", maxExpandDepth+5)
+	if _, errs := Preprocess(deep.String()); errs.Err() == nil ||
+		!strings.Contains(errs.Err().Error(), fmt.Sprintf(`macro "B%d"`, maxExpandDepth+5)) {
+		t.Fatalf("over-deep chain: got %v, want a nesting error naming the macro", errs.Err())
+	}
+}
+
+// TestPreprocessCorpusUnchanged: the budgets leave real shaders alone —
+// every corpus file, none of which has a directive, preprocesses without
+// diagnostics to its own text.
+func TestPreprocessCorpusUnchanged(t *testing.T) {
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		src, err := os.ReadFile(filepath.Join("testdata", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, errs := Preprocess(string(src))
+		if errs.Err() != nil {
+			t.Fatalf("%s: %v", e.Name(), errs)
+		}
+		if strings.TrimRight(res.Source, "\n") != strings.TrimRight(string(src), "\n") {
+			t.Errorf("%s: preprocessing changed the source", e.Name())
+		}
 	}
 }

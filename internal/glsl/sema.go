@@ -1237,8 +1237,10 @@ func (c *checker) checkConstructor(n *CallExpr, t *Type, argTypes []*Type) *Type
 // ---- Recursion check ----
 
 func (c *checker) checkNoRecursion() {
-	// Build the call graph over defined functions.
+	// Build the call graph over defined functions. A call to a function
+	// that is only ever declared cannot link.
 	adj := map[*FuncDecl][]*FuncDecl{}
+	var called []*FuncDecl
 	for _, fd := range c.prog.Functions {
 		if fd.Body == nil {
 			continue
@@ -1246,6 +1248,19 @@ func (c *checker) checkNoRecursion() {
 		var callees []*FuncDecl
 		collectCalls(fd.Body, &callees)
 		adj[fd] = callees
+		called = append(called, callees...)
+	}
+	for _, g := range c.prog.Globals {
+		if g.Init != nil {
+			collectCalls(g.Init, &called)
+		}
+	}
+	undefined := map[*FuncDecl]bool{}
+	for _, fd := range called {
+		if fd.Body == nil && !undefined[fd] {
+			undefined[fd] = true
+			c.errorf(fd.Pos, "function %s is called but never defined", fd.signatureKey())
+		}
 	}
 	const (
 		unvisited = 0

@@ -219,6 +219,15 @@ void main(){ gl_Position = vec4(f(1.0)); }
 	compileFail(t, "float f(float x) { return f(x); }\nvoid main(){ gl_Position = vec4(f(1.0)); }", StageVertex, "recursion")
 }
 
+// TestCheckCallToUndefinedFunction: a call to a function that is only
+// declared cannot link; it used to pass the checker and crash the
+// bytecode compiler.
+func TestCheckCallToUndefinedFunction(t *testing.T) {
+	compileFail(t, "float h(float x);\nvoid main(){ gl_Position = vec4(h(1.0)); }", StageVertex, "never defined")
+	compileFail(t, "float h();\nfloat g = h();\nvoid main(){ gl_Position = vec4(g); }", StageVertex, "never defined")
+	compileOK(t, "float h(float x);\nvoid main(){ gl_Position = vec4(h(1.0)); }\nfloat h(float x) { return x; }", StageVertex)
+}
+
 func TestCheckReturnTypes(t *testing.T) {
 	compileFail(t, "float f() { return; }\nvoid main(){}", StageVertex, "missing return value")
 	compileFail(t, "void f() { return 1.0; }\nvoid main(){}", StageVertex, "void function")

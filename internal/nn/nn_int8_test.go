@@ -190,3 +190,55 @@ func TestInt8Vec4ModeledSpeedup(t *testing.T) {
 		t.Fatalf("vec4 modeled speedup %.2fx, want >= 2x", speedup)
 	}
 }
+
+// TestRunPricedFromOwnCounters: a run's modeled time is priced from the
+// counters of its own work, so identical int8 LeNet batch-8 runs on one
+// device cost the same nanoseconds whatever ran before them. (Taking the
+// difference of two truncated cumulative conversions read 5,788,996 to
+// 5,788,998 ns for the same run.)
+func TestRunPricedFromOwnCounters(t *testing.T) {
+	m := DemoLeNetInt8(1)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := core.Open(core.Config{Exec: core.ExecConfig{Fusion: core.Enabled, Vec4Lanes: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	net8, err := m.Build(dev, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net8.Close()
+	net1, err := m.Build(dev, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net1.Close()
+	in8, in1 := DemoInputInt8(2, 8), DemoInputInt8(3, 1)
+	var first *core.PipelineStats
+	for i := 0; i < 6; i++ {
+		res, err := net8.Run(in8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = &res.Stats
+		} else if res.Stats.Time != first.Time {
+			t.Fatalf("run %d priced %v, run 0 %v", i, res.Stats.Time, first.Time)
+		} else {
+			for s := range res.Stats.StageTimes {
+				if res.Stats.StageTimes[s] != first.StageTimes[s] {
+					t.Fatalf("run %d stage %d priced %v, run 0 %v", i, s, res.Stats.StageTimes[s], first.StageTimes[s])
+				}
+			}
+		}
+		for k := 0; k <= i; k++ { // vary the device's history between runs
+			if _, err := net1.Run(in1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Logf("batch-8 run priced %v (%d ns)", first.Time, first.Time.Total().Nanoseconds())
+}

@@ -12,6 +12,7 @@ import (
 
 	"glescompute/internal/codec"
 	"glescompute/internal/core"
+	"glescompute/internal/nn"
 )
 
 // withInterpreter runs fn twice — once per executor — and returns both
@@ -185,4 +186,47 @@ func TestDifferentialPipelineChain(t *testing.T) {
 		return res
 	})
 	assertIdentical(t, "pipeline chain", vm, interp)
+}
+
+// TestDifferentialNN runs the N1 workload itself — the generated LeNet
+// programs the bytecode optimizer exists for — on both engines: the int8
+// vec4 fused network at batch 1 and 2, and the float network. Outputs and
+// the whole PipelineStats (draw Stats, modeled times, pass structure) must
+// be identical.
+func TestDifferentialNN(t *testing.T) {
+	cases := []struct {
+		name  string
+		model *nn.Model
+		batch int
+		input interface{}
+	}{
+		{"int8-b1", nn.DemoLeNetInt8(1), 1, nn.DemoInputInt8(2, 1)},
+		{"int8-b2", nn.DemoLeNetInt8(1), 2, nn.DemoInputInt8(2, 2)},
+		{"float-b1", nn.DemoLeNetFloat32(1), 1, nn.DemoInputFloat32(2, 1)},
+	}
+	for _, c := range cases {
+		vm, interp := withBothExecutors(t, func() interface{} {
+			cfg := deviceConfig()
+			cfg.Exec.Fusion = core.Enabled
+			if c.model.Elem() == codec.Int8 {
+				cfg.Exec.Vec4Lanes = 4
+			}
+			dev, err := core.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dev.Close()
+			net, err := c.model.Build(dev, c.batch, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer net.Close()
+			res, err := net.Run(c.input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		})
+		assertIdentical(t, "nn "+c.name, vm, interp)
+	}
 }

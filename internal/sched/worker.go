@@ -275,7 +275,7 @@ func (w *worker) launch(jobs []*Job, run func([]*Job) ([]interface{}, core.RunSt
 	name := launchName(jobs[0])
 	sp := w.launchSpan(jobs, name)
 	start := time.Now()
-	t0 := w.dev.Timeline()
+	c0 := w.dev.Counters()
 	outs, rs, err := func() (outs []interface{}, rs core.RunStats, err error) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -288,7 +288,7 @@ func (w *worker) launch(jobs []*Job, run func([]*Job) ([]interface{}, core.RunSt
 	if err == nil && len(outs) != len(jobs) {
 		err = fmt.Errorf("sched: launch %q returned %d outputs for %d members", name, len(outs), len(jobs))
 	}
-	dt := w.dev.Timeline().Sub(t0)
+	dt := w.dev.TimeSince(c0)
 	wall := time.Since(start)
 	w.note(len(jobs), dt, wall)
 	w.noteLost(err)

@@ -13,17 +13,36 @@ package shader
 // speedup this repo reports) is derived from those counters. Operation
 // counts are folded at compile time into a table of Stats deltas flushed
 // at basic-block boundaries, so the VM pays a single opStats instruction
-// per straight-line region instead of per-operation bookkeeping.
+// per straight-line region instead of per-operation bookkeeping — and the
+// lowering is free to emit fewer instructions than the source has
+// operations (DESIGN.md §6l): every instruction it emits does work.
+//
+//   - Constants live in a read-only pool at the bottom of the register
+//     file, filled once by NewVM: literals, negated literals and float
+//     vector constructors of literals cost no instruction.
+//   - Reads that select registers — a contiguous swizzle (v.xy), a
+//     constant index — return the source registers instead of copying.
+//   - A value wanted in a known place (a declared variable, a statement's
+//     assignment target, a parameter, a return slot, a constructor slot)
+//     is written there by the instruction that produces it, unless that
+//     instruction would clobber one of its own operands.
+//   - Calls to a function that cannot discard and whose only return is
+//     its last statement (every runtime accessor and codec) are lowered
+//     in place; other calls skip the discard bookkeeping when the callee
+//     cannot discard.
 //
 // Register allocation is fully static: GLSL ES 1.00 forbids recursion (the
-// checker enforces it), so every function's parameters, locals, scratch
-// temporaries and return slot live at fixed offsets for the whole program.
-// Aggregates (arrays, structs, matrices) occupy contiguous runs of
-// registers in Type.FlatSize order, matching the flattened layout the GLES
-// pipeline uses for varyings.
+// checker enforces it), so every function's parameters, locals and return
+// slot live at fixed offsets for the whole program, and scratch
+// temporaries in the area of the function body being compiled (an inlined
+// callee's come from its caller's). Aggregates (arrays, structs, matrices)
+// occupy contiguous runs of registers in Type.FlatSize order, matching the
+// flattened layout the GLES pipeline uses for varyings.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"glescompute/internal/glsl"
 )
@@ -41,7 +60,6 @@ const (
 	opDiscard          // abort the invocation as discarded
 	opLoopReset        // loopIters[aux] = 0
 	opLoopGuard        // loopIters[aux]++ with runaway check; b = pos table index
-	opLoadImm          // regs[dst] = imm
 	opZero             // regs[dst:dst+n] = 0
 	opMov              // regs[dst:dst+n] = regs[a:a+n] (memmove semantics)
 	opSplat            // regs[dst+i] = regs[a] for i < n
@@ -91,7 +109,6 @@ type instr struct {
 	c   int32
 	n   int32
 	aux int32
-	imm float32
 }
 
 // builtinDesc is the static call descriptor for one opBuiltin site.
@@ -113,6 +130,9 @@ type funcInfo struct {
 	retBase  int32
 	retSize  int32
 	localOff []int32 // local slot -> register base
+	frameEnd int32   // registers [retBase, frameEnd) hold the return slot and locals
+	inline   bool    // every call is lowered in place; no body is emitted
+	idx      int32   // index in Compiled.funcs when a body is emitted
 	tempBase int32
 	tempMax  int32
 }
@@ -126,6 +146,10 @@ type Compiled struct {
 	code      []instr
 	initEntry int32
 	mainEntry int32
+
+	// pool holds the constants the code reads: registers [0, len(pool)),
+	// filled once by NewVM and never written.
+	pool []float32
 
 	stats    []Stats    // opStats flush table
 	poss     []glsl.Pos // positions for runtime (loop guard) errors
@@ -142,7 +166,7 @@ type Compiled struct {
 	// mirroring the interpreter's mutatedGlobals reset.
 	mutatedRanges [][2]int32
 
-	funcs    []*funcInfo
+	funcs    []*funcInfo // functions with an emitted body; opCall's aux indexes it
 	nloops   int32
 	maxDepth int32
 }
@@ -152,6 +176,13 @@ func (c *Compiled) NumRegisters() int { return int(c.nregs) }
 
 // CodeLen reports the instruction count (diagnostics).
 func (c *Compiled) CodeLen() int { return len(c.code) }
+
+// PoolLen reports the number of constant-pool registers (diagnostics).
+func (c *Compiled) PoolLen() int { return len(c.pool) }
+
+// Bodies reports the number of functions with an emitted body — main and
+// every callee that is not inlined (diagnostics).
+func (c *Compiled) Bodies() int { return len(c.funcs) }
 
 // compileError aborts compilation via panic/recover; Compile converts it
 // into an error. Post-sema programs should never hit these — they guard
@@ -165,11 +196,19 @@ type compiler struct {
 	code    []instr
 	pending Stats
 	statIdx map[Stats]int32
+	frames  map[*glsl.FuncDecl]*funcInfo
+	sizes   map[*glsl.FuncDecl]int // see inlineSize
+	poolIdx map[string]int32       // pool run -> first register
 
-	fn      *funcInfo
+	fn      *funcInfo // the function whose body (and scratch area) is being emitted
 	tempTop int32
-	funcIdx map[*glsl.FuncDecl]int32
-	loops   []loopCtx
+	// The function being lowered — fn, or a callee inlined into it: the
+	// register of each of its local slots, and the register runs that
+	// keep their value while a call it makes runs (see isSteady).
+	locals []int32
+	steady [][2]int32
+	loops  []loopCtx
+	sealed bool // the pool is laid out; konst may only find constants
 }
 
 type loopCtx struct {
@@ -204,28 +243,35 @@ func Compile(prog *glsl.Program) (c *Compiled, err error) {
 		return nil, fmt.Errorf("shader compile: program has no entry point")
 	}
 	c = &Compiled{Prog: prog}
-	cc := &compiler{comp: c, prog: prog, statIdx: map[Stats]int32{}, funcIdx: map[*glsl.FuncDecl]int32{}}
+	cc := &compiler{comp: c, prog: prog, statIdx: map[Stats]int32{}, frames: map[*glsl.FuncDecl]*funcInfo{},
+		sizes: map[*glsl.FuncDecl]int{}, poolIdx: map[string]int32{}}
 
-	// Register layout: builtin slots first, then globals, then per-function
-	// frames (return slot + locals), then per-function scratch areas.
+	// Register layout: the constant pool first, then builtin slots, then
+	// globals, then per-function frames (return slot + locals), then
+	// per-function scratch areas.
+	reach := cc.reachableFunctions()
+	cc.layoutPool(reach)
 	cc.layoutBuiltins()
 	cc.layoutGlobals()
-
-	reach := cc.reachableFunctions()
 	for _, fd := range reach {
-		fi := &funcInfo{fd: fd}
-		cc.funcIdx[fd] = int32(len(c.funcs))
-		c.funcs = append(c.funcs, fi)
+		fi := &funcInfo{fd: fd, idx: -1}
+		cc.frames[fd] = fi
 		fi.retSize = flatSize(fd.Ret)
 		fi.retBase = c.nregs
 		c.nregs += fi.retSize
 		fi.localOff = cc.layoutLocals(fd)
+		fi.frameEnd = c.nregs
+		fi.inline = fd != prog.Entry && cc.inlined(fd)
+		if !fi.inline {
+			fi.idx = int32(len(c.funcs))
+			c.funcs = append(c.funcs, fi)
+		}
 	}
 	c.maxDepth = int32(len(c.funcs)) + 2
 
-	// Compile every function body, then the global-init segment. Each gets
-	// its own scratch area appended after compilation (the high-water mark
-	// is only known afterwards).
+	// Compile every emitted function body, then the global-init segment.
+	// Each gets its own scratch area appended after compilation (the
+	// high-water mark is only known afterwards).
 	for _, fi := range c.funcs {
 		cc.compileFunction(fi)
 	}
@@ -234,6 +280,121 @@ func Compile(prog *glsl.Program) (c *Compiled, err error) {
 	c.code = cc.code
 	cc.buildMutatedRanges()
 	return c, nil
+}
+
+// layoutPool places every constant the lowering reads at the bottom of
+// the register file: the folded constant expressions of every reachable
+// function and global initializer, folded const globals, and the 1 that
+// ++, -- and || use.
+func (cc *compiler) layoutPool(reach []*glsl.FuncDecl) {
+	cc.konst([]float32{1})
+	collect := func(e glsl.Expr) bool {
+		if v, _, ok := constValue(e); ok {
+			cc.konst(v)
+		}
+		return false
+	}
+	for _, fd := range reach {
+		findStmt(fd.Body, nil, collect)
+	}
+	for _, g := range cc.prog.Globals {
+		switch {
+		case g.ConstVal != nil:
+			cc.konst(constGlobal(g))
+		case g.Init != nil:
+			findExpr(g.Init, collect)
+		}
+	}
+	cc.sealed = true
+	cc.comp.nregs = int32(len(cc.comp.pool))
+}
+
+// konst returns the first register of the pool run holding v (runs are
+// told apart bit for bit: 0 and -0 differ).
+func (cc *compiler) konst(v []float32) int32 {
+	key := make([]byte, 0, 4*len(v))
+	for _, x := range v {
+		key = binary.LittleEndian.AppendUint32(key, math.Float32bits(x))
+	}
+	if r, ok := cc.poolIdx[string(key)]; ok {
+		return r
+	}
+	if cc.sealed {
+		cc.fail(glsl.Pos{}, "constant %v missing from the pool", v)
+	}
+	r := int32(len(cc.comp.pool))
+	cc.comp.pool = append(cc.comp.pool, v...)
+	cc.poolIdx[string(key)] = r
+	return r
+}
+
+// constGlobal is a folded const global's flattened value, zero-padded to
+// its type's size (FromConst).
+func constGlobal(g *glsl.VarDecl) []float32 {
+	v := make([]float32, flatSize(g.DeclType))
+	copy(v, g.ConstVal.F)
+	return v
+}
+
+// constValue reports the flattened value of a constant expression the
+// pool holds — a literal, a negated numeric literal, or a float vector
+// constructor whose arguments are those — with the Stats the interpreter
+// charges for evaluating it.
+func constValue(e glsl.Expr) ([]float32, Stats, bool) {
+	var s Stats
+	scalar := func(e glsl.Expr) (float32, bool) {
+		switch n := e.(type) {
+		case *glsl.IntLit:
+			return float32(n.Val), true
+		case *glsl.FloatLit:
+			return n.Val, true
+		case *glsl.BoolLit:
+			return b2f(n.Val), true
+		case *glsl.UnaryExpr:
+			if n.Op != glsl.TokMinus {
+				return 0, false
+			}
+			var x float32
+			switch l := n.X.(type) {
+			case *glsl.IntLit:
+				x = float32(l.Val)
+			case *glsl.FloatLit:
+				x = l.Val
+			default:
+				return 0, false
+			}
+			s.Add++
+			return -x, true
+		}
+		return 0, false
+	}
+	if x, ok := scalar(e); ok {
+		return []float32{x}, s, true
+	}
+	n, ok := e.(*glsl.CallExpr)
+	if !ok || n.Kind != glsl.CallTypeConstructor || !n.CtorType.IsVector() ||
+		n.CtorType.ComponentType().Kind != glsl.KFloat {
+		return nil, s, false
+	}
+	size := n.CtorType.VectorSize()
+	var v []float32
+	for _, a := range n.Args {
+		x, ok := scalar(a)
+		if !ok {
+			return nil, s, false
+		}
+		v = append(v, x)
+	}
+	switch {
+	case len(v) == 1:
+		for len(v) < size {
+			v = append(v, v[0])
+		}
+	case len(v) != size:
+		return nil, s, false
+	}
+	s.Mov += uint64(size)
+	return v, s, true
 }
 
 func (cc *compiler) layoutBuiltins() {
@@ -277,36 +438,14 @@ func (cc *compiler) layoutLocals(fd *glsl.FuncDecl) []int32 {
 	for _, p := range fd.Params {
 		decls[p.Slot] = p
 	}
-	var walk func(s glsl.Stmt)
-	walk = func(s glsl.Stmt) {
-		switch n := s.(type) {
-		case *glsl.BlockStmt:
-			for _, st := range n.Stmts {
-				walk(st)
-			}
-		case *glsl.DeclStmt:
+	findStmt(fd.Body, func(s glsl.Stmt) bool {
+		if n, ok := s.(*glsl.DeclStmt); ok {
 			for _, v := range n.Vars {
 				decls[v.Slot] = v
 			}
-		case *glsl.IfStmt:
-			walk(n.Then)
-			if n.Else != nil {
-				walk(n.Else)
-			}
-		case *glsl.ForStmt:
-			if n.InitStmt != nil {
-				walk(n.InitStmt)
-			}
-			walk(n.Body)
-		case *glsl.WhileStmt:
-			walk(n.Body)
-		case *glsl.DoWhileStmt:
-			walk(n.Body)
 		}
-	}
-	if fd.Body != nil {
-		walk(fd.Body)
-	}
+		return false
+	}, nil)
 	off := make([]int32, fd.LocalSize)
 	for i, d := range decls {
 		off[i] = cc.comp.nregs
@@ -324,100 +463,216 @@ func (cc *compiler) layoutLocals(fd *glsl.FuncDecl) []int32 {
 func (cc *compiler) reachableFunctions() []*glsl.FuncDecl {
 	var order []*glsl.FuncDecl
 	seen := map[*glsl.FuncDecl]bool{}
-	var fromExpr func(e glsl.Expr)
-	var fromStmt func(s glsl.Stmt)
-	var visit func(fd *glsl.FuncDecl)
-	visit = func(fd *glsl.FuncDecl) {
+	var calls func(e glsl.Expr) bool
+	visit := func(fd *glsl.FuncDecl) {
 		if fd == nil || seen[fd] {
 			return
 		}
+		if fd.Body == nil {
+			cc.fail(fd.Pos, "call to undefined function %q", fd.Name)
+		}
 		seen[fd] = true
 		order = append(order, fd)
-		if fd.Body != nil {
-			fromStmt(fd.Body)
-		}
+		findStmt(fd.Body, nil, calls)
 	}
-	fromExpr = func(e glsl.Expr) {
-		switch n := e.(type) {
-		case *glsl.CallExpr:
-			if n.Kind == glsl.CallUser {
-				visit(n.Func)
-			}
-			for _, a := range n.Args {
-				fromExpr(a)
-			}
-		case *glsl.BinaryExpr:
-			fromExpr(n.X)
-			fromExpr(n.Y)
-		case *glsl.UnaryExpr:
-			fromExpr(n.X)
-		case *glsl.CondExpr:
-			fromExpr(n.Cond)
-			fromExpr(n.Then)
-			fromExpr(n.Else)
-		case *glsl.AssignExpr:
-			fromExpr(n.LHS)
-			fromExpr(n.RHS)
-		case *glsl.SequenceExpr:
-			fromExpr(n.X)
-			fromExpr(n.Y)
-		case *glsl.FieldExpr:
-			fromExpr(n.X)
-		case *glsl.IndexExpr:
-			fromExpr(n.X)
-			fromExpr(n.Index)
+	calls = func(e glsl.Expr) bool {
+		if n, ok := e.(*glsl.CallExpr); ok && n.Kind == glsl.CallUser {
+			visit(n.Func)
 		}
-	}
-	fromStmt = func(s glsl.Stmt) {
-		switch n := s.(type) {
-		case *glsl.BlockStmt:
-			for _, st := range n.Stmts {
-				fromStmt(st)
-			}
-		case *glsl.DeclStmt:
-			for _, v := range n.Vars {
-				if v.Init != nil {
-					fromExpr(v.Init)
-				}
-			}
-		case *glsl.ExprStmt:
-			fromExpr(n.X)
-		case *glsl.IfStmt:
-			fromExpr(n.Cond)
-			fromStmt(n.Then)
-			if n.Else != nil {
-				fromStmt(n.Else)
-			}
-		case *glsl.ForStmt:
-			if n.InitStmt != nil {
-				fromStmt(n.InitStmt)
-			}
-			if n.Cond != nil {
-				fromExpr(n.Cond)
-			}
-			if n.Post != nil {
-				fromExpr(n.Post)
-			}
-			fromStmt(n.Body)
-		case *glsl.WhileStmt:
-			fromExpr(n.Cond)
-			fromStmt(n.Body)
-		case *glsl.DoWhileStmt:
-			fromStmt(n.Body)
-			fromExpr(n.Cond)
-		case *glsl.ReturnStmt:
-			if n.X != nil {
-				fromExpr(n.X)
-			}
-		}
+		return false
 	}
 	visit(cc.prog.Entry)
 	for _, g := range cc.prog.Globals {
 		if g.Init != nil && g.ConstVal == nil {
-			fromExpr(g.Init)
+			findExpr(g.Init, calls)
 		}
 	}
 	return order
+}
+
+// ---- AST walks ----
+
+// findExpr walks e and every expression nested in it, pre-order, and
+// reports whether fn returned true for one of them (which ends the walk).
+func findExpr(e glsl.Expr, fn func(glsl.Expr) bool) bool {
+	if e == nil {
+		return false
+	}
+	if fn(e) {
+		return true
+	}
+	switch n := e.(type) {
+	case *glsl.BinaryExpr:
+		return findExpr(n.X, fn) || findExpr(n.Y, fn)
+	case *glsl.UnaryExpr:
+		return findExpr(n.X, fn)
+	case *glsl.CondExpr:
+		return findExpr(n.Cond, fn) || findExpr(n.Then, fn) || findExpr(n.Else, fn)
+	case *glsl.AssignExpr:
+		return findExpr(n.LHS, fn) || findExpr(n.RHS, fn)
+	case *glsl.SequenceExpr:
+		return findExpr(n.X, fn) || findExpr(n.Y, fn)
+	case *glsl.CallExpr:
+		for _, a := range n.Args {
+			if findExpr(a, fn) {
+				return true
+			}
+		}
+	case *glsl.FieldExpr:
+		return findExpr(n.X, fn)
+	case *glsl.IndexExpr:
+		return findExpr(n.X, fn) || findExpr(n.Index, fn)
+	}
+	return false
+}
+
+// findStmt walks s and every statement nested in it, pre-order, calling
+// fs (when non-nil) on each statement and findExpr(·, fe) (when fe is
+// non-nil) on each expression they hold; it reports whether a callback
+// returned true (which ends the walk).
+func findStmt(s glsl.Stmt, fs func(glsl.Stmt) bool, fe func(glsl.Expr) bool) bool {
+	if s == nil {
+		return false
+	}
+	if fs != nil && fs(s) {
+		return true
+	}
+	ex := func(e glsl.Expr) bool { return fe != nil && findExpr(e, fe) }
+	switch n := s.(type) {
+	case *glsl.BlockStmt:
+		for _, st := range n.Stmts {
+			if findStmt(st, fs, fe) {
+				return true
+			}
+		}
+	case *glsl.DeclStmt:
+		for _, v := range n.Vars {
+			if ex(v.Init) {
+				return true
+			}
+		}
+	case *glsl.ExprStmt:
+		return ex(n.X)
+	case *glsl.IfStmt:
+		return ex(n.Cond) || findStmt(n.Then, fs, fe) || findStmt(n.Else, fs, fe)
+	case *glsl.ForStmt:
+		return findStmt(n.InitStmt, fs, fe) || ex(n.Cond) || ex(n.Post) || findStmt(n.Body, fs, fe)
+	case *glsl.WhileStmt:
+		return ex(n.Cond) || findStmt(n.Body, fs, fe)
+	case *glsl.DoWhileStmt:
+		return findStmt(n.Body, fs, fe) || ex(n.Cond)
+	case *glsl.ReturnStmt:
+		return ex(n.X)
+	}
+	return false
+}
+
+func isDiscard(s glsl.Stmt) bool { _, ok := s.(*glsl.DiscardStmt); return ok }
+
+func isReturnOrDiscard(s glsl.Stmt) bool {
+	_, ret := s.(*glsl.ReturnStmt)
+	return ret || isDiscard(s)
+}
+
+// endsInReturn reports whether fd's last top-level statement is a return,
+// so control never falls off the end of its body.
+func endsInReturn(fd *glsl.FuncDecl) bool {
+	st := fd.Body.Stmts
+	if len(st) == 0 {
+		return false
+	}
+	_, ok := st[len(st)-1].(*glsl.ReturnStmt)
+	return ok
+}
+
+// maxInlineNodes bounds the AST nodes a function may expand to with its
+// inlined callees in place. A function over it keeps a body, so inlining
+// cannot grow code exponentially (a chain of functions each calling the
+// next twice).
+const maxInlineNodes = 4096
+
+// inlined reports whether calls to fd are lowered in place: its body
+// cannot discard, its only return, if any, is its last statement (a
+// value-returning function must have one), and it expands to at most
+// maxInlineNodes.
+func (cc *compiler) inlined(fd *glsl.FuncDecl) bool {
+	return cc.inlineSize(fd) <= maxInlineNodes
+}
+
+// inlineSize is the number of AST nodes fd expands to with its inlined
+// callees in place, or maxInlineNodes+1 when fd cannot be inlined at all.
+func (cc *compiler) inlineSize(fd *glsl.FuncDecl) int {
+	if n, ok := cc.sizes[fd]; ok {
+		return n
+	}
+	n := 0
+	st := fd.Body.Stmts
+	if endsInReturn(fd) {
+		st = st[:len(st)-1]
+	} else if flatSize(fd.Ret) > 0 {
+		n = maxInlineNodes + 1
+	}
+	for _, s := range st {
+		if findStmt(s, isReturnOrDiscard, nil) {
+			n = maxInlineNodes + 1
+		}
+	}
+	if n == 0 {
+		findStmt(fd.Body, func(glsl.Stmt) bool { n++; return false }, func(e glsl.Expr) bool {
+			n++
+			if c, ok := e.(*glsl.CallExpr); ok && c.Kind == glsl.CallUser && cc.inlined(c.Func) {
+				n += cc.inlineSize(c.Func)
+			}
+			return false
+		})
+	}
+	cc.sizes[fd] = n
+	return n
+}
+
+// rootVar is the variable an l-value expression stores into.
+func rootVar(e glsl.Expr) *glsl.VarDecl {
+	for {
+		switch n := e.(type) {
+		case *glsl.Ident:
+			return n.Ref
+		case *glsl.FieldExpr:
+			e = n.X
+		case *glsl.IndexExpr:
+			e = n.X
+		default:
+			return nil
+		}
+	}
+}
+
+// writes reports whether fd's body can store into its parameter p.
+func writes(fd *glsl.FuncDecl, p *glsl.VarDecl) bool {
+	return findStmt(fd.Body, nil, func(e glsl.Expr) bool {
+		switch n := e.(type) {
+		case *glsl.AssignExpr:
+			return rootVar(n.LHS) == p
+		case *glsl.UnaryExpr:
+			return (n.Op == glsl.TokInc || n.Op == glsl.TokDec) && rootVar(n.X) == p
+		case *glsl.CallExpr:
+			if n.Kind == glsl.CallUser && n.Func != nil {
+				for i, q := range n.Func.Params {
+					if q.Dir != glsl.DirIn && rootVar(n.Args[i]) == p {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	})
+}
+
+// containsUserCall reports whether e contains any user function call.
+func containsUserCall(e glsl.Expr) bool {
+	return findExpr(e, func(e glsl.Expr) bool {
+		n, ok := e.(*glsl.CallExpr)
+		return ok && n.Kind == glsl.CallUser
+	})
 }
 
 // ---- Emission helpers ----
@@ -425,6 +680,13 @@ func (cc *compiler) reachableFunctions() []*glsl.FuncDecl {
 func (cc *compiler) emit(in instr) int32 {
 	cc.code = append(cc.code, in)
 	return int32(len(cc.code) - 1)
+}
+
+// move copies n registers from src to dst unless they are the same.
+func (cc *compiler) move(dst, src, n int32) {
+	if dst != src && n > 0 {
+		cc.emit(instr{op: opMov, dst: dst, a: src, n: n})
+	}
 }
 
 func (cc *compiler) flushStats() {
@@ -491,6 +753,52 @@ func (cc *compiler) temp(n int32) int32 {
 	return r
 }
 
+// target is where a value is wanted: the n registers from r, or anywhere
+// when r < 0. fresh marks registers the expression being lowered cannot
+// read — a variable being declared, a parameter or return slot, a slot of
+// a constructor under construction — which a multi-instruction producer
+// may fill piece by piece; any other target is written only by a value's
+// last instruction.
+type target struct {
+	r     int32
+	fresh bool
+}
+
+var anywhere = target{r: -1}
+
+// operand is a run of n registers from r that an instruction reads. A
+// step operand is read one component per result component, each before
+// that component is written, so it may coincide exactly with the
+// destination.
+type operand struct {
+	r, n int32
+	step bool
+}
+
+// out picks the n registers an instruction writes its result to: the
+// target when writing there cannot clobber one of the instruction's
+// operands before it is read, else fresh scratch.
+func (cc *compiler) out(t target, n int32, ops ...operand) int32 {
+	if t.r < 0 {
+		return cc.temp(n)
+	}
+	for _, o := range ops {
+		if o.r < t.r+n && t.r < o.r+o.n && !(o.step && o.r == t.r && o.n == n) {
+			return cc.temp(n)
+		}
+	}
+	return t.r
+}
+
+// slots picks the n registers a multi-instruction producer fills: a fresh
+// target, else scratch.
+func (cc *compiler) slots(t target, n int32) int32 {
+	if t.r >= 0 && t.fresh {
+		return t.r
+	}
+	return cc.temp(n)
+}
+
 func flatSize(t *glsl.Type) int32 {
 	if t == nil || t.Kind == glsl.KVoid {
 		return 0
@@ -517,21 +825,35 @@ func packSwz(swz []int) int32 {
 	return p
 }
 
+// contiguous reports whether a swizzle selects consecutive components in
+// order (.x, .yz, .xyzw), so reading it needs no copy.
+func contiguous(swz []int) bool {
+	for i := range swz {
+		if swz[i] != swz[0]+i {
+			return false
+		}
+	}
+	return true
+}
+
 // ---- Function compilation ----
 
 func (cc *compiler) compileFunction(fi *funcInfo) {
-	cc.fn = fi
+	cc.fn, cc.locals, cc.steady = fi, fi.localOff, [][2]int32{{fi.retBase, fi.frameEnd}}
 	cc.tempTop = 0
 	fi.tempBase = cc.comp.nregs
 	fi.entry = int32(len(cc.code))
-	if fi.retSize > 0 {
+	ends := endsInReturn(fi.fd)
+	if fi.retSize > 0 && !ends {
 		// Falling off the end of a value-returning function yields the
 		// zero value, like the interpreter's hasRet handling.
 		cc.emit(instr{op: opZero, dst: fi.retBase, n: fi.retSize})
 	}
 	cc.compileStmt(fi.fd.Body)
-	cc.flushStats()
-	cc.emit(instr{op: opRet})
+	if !ends {
+		cc.flushStats()
+		cc.emit(instr{op: opRet})
+	}
 	cc.comp.nregs = fi.tempBase + fi.tempMax
 	if fi.fd == cc.prog.Entry {
 		cc.comp.mainEntry = fi.entry
@@ -543,29 +865,25 @@ func (cc *compiler) compileFunction(fi *funcInfo) {
 // interpreter's InitGlobals).
 func (cc *compiler) compileInit() {
 	fi := &funcInfo{fd: cc.prog.Entry} // pseudo-frame for scratch space
-	cc.fn = fi
+	cc.fn, cc.locals, cc.steady = fi, nil, nil
 	cc.tempTop = 0
 	fi.tempBase = cc.comp.nregs
 	cc.comp.initEntry = int32(len(cc.code))
 	for i, g := range cc.prog.Globals {
+		base := cc.comp.globalOff[i]
+		size := flatSize(g.DeclType)
 		if g.Init == nil {
 			continue
 		}
-		base := cc.comp.globalOff[i]
-		size := flatSize(g.DeclType)
+		var r int32
 		if g.ConstVal != nil {
-			// FromConst: folded components, zero-padded — no stats.
-			for k := int32(0); k < size; k++ {
-				var v float32
-				if int(k) < len(g.ConstVal.F) {
-					v = g.ConstVal.F[k]
-				}
-				cc.emit(instr{op: opLoadImm, dst: base + k, imm: v})
-			}
-			continue
+			r = cc.konst(constGlobal(g)) // FromConst: folded, zero-padded — no stats
+		} else {
+			// Not fresh: a function the initializer calls may read the
+			// global.
+			r, _ = cc.compileTo(g.Init, target{r: base})
 		}
-		r, _ := cc.compileExpr(g.Init)
-		cc.emit(instr{op: opMov, dst: base, a: r, n: size})
+		cc.move(base, r, size)
 	}
 	cc.flushStats()
 	cc.emit(instr{op: opRet})
@@ -593,10 +911,10 @@ func (cc *compiler) varReg(n *glsl.Ident) int32 {
 	if n.Ref.Storage == glsl.StorageGlobal {
 		return cc.comp.globalOff[n.Ref.Slot]
 	}
-	if cc.fn.localOff == nil {
+	if cc.locals == nil {
 		cc.fail(n.Pos, "local %q used outside a function frame", n.Name)
 	}
-	return cc.fn.localOff[n.Ref.Slot]
+	return cc.locals[n.Ref.Slot]
 }
 
 // ---- Statements ----
@@ -611,20 +929,20 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		}
 	case *glsl.DeclStmt:
 		for _, v := range n.Vars {
-			dst := cc.fn.localOff[v.Slot]
+			dst := cc.locals[v.Slot]
 			size := flatSize(v.DeclType)
 			if v.Init == nil {
 				cc.emit(instr{op: opZero, dst: dst, n: size})
 				continue
 			}
 			sub := cc.tempTop
-			r, _ := cc.compileExpr(v.Init)
+			r, _ := cc.compileTo(v.Init, target{dst, true})
 			cc.pending.Mov += uint64(v.DeclType.ComponentCount())
-			cc.emit(instr{op: opMov, dst: dst, a: r, n: size})
+			cc.move(dst, r, size)
 			cc.tempTop = sub
 		}
 	case *glsl.ExprStmt:
-		cc.compileExpr(n.X)
+		cc.effect(n.X)
 	case *glsl.EmptyStmt:
 	case *glsl.IfStmt:
 		cond, _ := cc.compileExpr(n.Cond)
@@ -665,7 +983,7 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		cc.loops = cc.loops[:len(cc.loops)-1]
 		cc.bind(post)
 		if n.Post != nil {
-			cc.compileExpr(n.Post)
+			cc.effect(n.Post)
 		}
 		cc.jump(opJmp, 0, head)
 		cc.bind(exit)
@@ -700,9 +1018,11 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 		cc.jump(opJnz, cond, head)
 		cc.bind(exit)
 	case *glsl.ReturnStmt:
+		// Only emitted bodies reach here: an inlined callee's one return
+		// is lowered by compileUserCall.
 		if n.X != nil {
-			r, _ := cc.compileExpr(n.X)
-			cc.emit(instr{op: opMov, dst: cc.fn.retBase, a: r, n: cc.fn.retSize})
+			r, _ := cc.compileTo(n.X, target{cc.fn.retBase, true})
+			cc.move(cc.fn.retBase, r, cc.fn.retSize)
 		}
 		cc.flushStats()
 		cc.emit(instr{op: opRet})
@@ -724,77 +1044,84 @@ func (cc *compiler) compileStmt(s glsl.Stmt) {
 	}
 }
 
-// ---- Expressions ----
-
-// hasSideEffects reports whether evaluating e can mutate program state
-// (assignments, increments, or user function calls, which may write
-// globals and out parameters). Used to decide when an operand read from
-// variable storage must be materialized before a sibling runs.
-func hasSideEffects(e glsl.Expr) bool {
+// effect lowers an expression evaluated only for its side effects — a
+// statement, a for-loop step, the left operand of a comma. Assigning or
+// incrementing a place known at compile time writes it directly instead
+// of going through a copy of the expression's value.
+func (cc *compiler) effect(e glsl.Expr) {
 	switch n := e.(type) {
 	case *glsl.AssignExpr:
-		return true
+		if p, size, ok := cc.staticPlace(n.LHS); ok {
+			var r int32
+			if n.Op == glsl.TokAssign {
+				r, _ = cc.compileTo(n.RHS, target{r: p})
+			} else {
+				rhs, _ := cc.compileExpr(n.RHS)
+				cur, _ := cc.compileExpr(n.LHS) // p, charging the read's Stats
+				r = cc.emitBinaryOp(compoundOp[n.Op], cur, rhs, n.LHS.Type(), n.RHS.Type(), n.Type(), target{r: p})
+			}
+			cc.pending.Mov += uint64(maxI(1, n.Type().ComponentCount()))
+			cc.move(p, r, size)
+			return
+		}
 	case *glsl.UnaryExpr:
 		if n.Op == glsl.TokInc || n.Op == glsl.TokDec {
-			return true
-		}
-		return hasSideEffects(n.X)
-	case *glsl.BinaryExpr:
-		return hasSideEffects(n.X) || hasSideEffects(n.Y)
-	case *glsl.CondExpr:
-		return hasSideEffects(n.Cond) || hasSideEffects(n.Then) || hasSideEffects(n.Else)
-	case *glsl.SequenceExpr:
-		return hasSideEffects(n.X) || hasSideEffects(n.Y)
-	case *glsl.CallExpr:
-		if n.Kind == glsl.CallUser {
-			return true
-		}
-		for _, a := range n.Args {
-			if hasSideEffects(a) {
-				return true
+			if p, size, ok := cc.staticPlace(n.X); ok {
+				cur, _ := cc.compileExpr(n.X) // p, charging the read's Stats
+				cc.move(p, cc.step(n, cur, target{r: p}), size)
+				return
 			}
 		}
-		return false
-	case *glsl.FieldExpr:
-		return hasSideEffects(n.X)
-	case *glsl.IndexExpr:
-		return hasSideEffects(n.X) || hasSideEffects(n.Index)
-	default:
-		return false
+	case *glsl.SequenceExpr:
+		cc.effect(n.X)
+		cc.effect(n.Y)
+		return
 	}
+	cc.compileExpr(e)
 }
 
-// containsUserCall reports whether e contains any user function call.
-func containsUserCall(e glsl.Expr) bool {
+// staticPlace returns the registers of an l-value located without code —
+// a variable, a struct field, a constant-index element, or a contiguous
+// swizzle of one — as the size registers from r.
+func (cc *compiler) staticPlace(e glsl.Expr) (r, size int32, ok bool) {
 	switch n := e.(type) {
-	case *glsl.AssignExpr:
-		return containsUserCall(n.LHS) || containsUserCall(n.RHS)
-	case *glsl.UnaryExpr:
-		return containsUserCall(n.X)
-	case *glsl.BinaryExpr:
-		return containsUserCall(n.X) || containsUserCall(n.Y)
-	case *glsl.CondExpr:
-		return containsUserCall(n.Cond) || containsUserCall(n.Then) || containsUserCall(n.Else)
-	case *glsl.SequenceExpr:
-		return containsUserCall(n.X) || containsUserCall(n.Y)
-	case *glsl.CallExpr:
-		if n.Kind == glsl.CallUser {
-			return true
-		}
-		for _, a := range n.Args {
-			if containsUserCall(a) {
-				return true
-			}
-		}
-		return false
+	case *glsl.Ident:
+		return cc.varReg(n), flatSize(n.Type()), true
 	case *glsl.FieldExpr:
-		return containsUserCall(n.X)
+		if r, _, ok = cc.staticPlace(n.X); !ok {
+			return 0, 0, false
+		}
+		if n.Swizzle != nil {
+			if !contiguous(n.Swizzle) {
+				return 0, 0, false
+			}
+			return r + int32(n.Swizzle[0]), int32(len(n.Swizzle)), true
+		}
+		return r + fieldOffset(n.X.Type(), n.FieldIndex), flatSize(n.Type()), true
 	case *glsl.IndexExpr:
-		return containsUserCall(n.X) || containsUserCall(n.Index)
-	default:
-		return false
+		lit, isLit := n.Index.(*glsl.IntLit)
+		if !isLit {
+			return 0, 0, false
+		}
+		if r, _, ok = cc.staticPlace(n.X); !ok {
+			return 0, 0, false
+		}
+		xt := n.X.Type()
+		idx := int32(clampIndex(int(lit.Val), indexLimit(xt)))
+		switch {
+		case xt.Kind == glsl.KArray:
+			return r + idx*flatSize(xt.Elem), flatSize(xt.Elem), true
+		case xt.IsVector():
+			return r + idx, 1, true
+		case xt.IsMatrix():
+			dim := int32(xt.MatrixDim())
+			return r + idx*dim, dim, true
+		}
 	}
+	return 0, 0, false
 }
+
+// ---- Expressions ----
 
 // materialize copies a direct-storage operand into a scratch temp so later
 // side effects cannot change the already-evaluated value.
@@ -808,72 +1135,73 @@ func (cc *compiler) materialize(reg int32, direct bool, size int32) int32 {
 }
 
 // compileExpr emits code computing e and returns the register base holding
-// its flattened value. direct reports that the register is live variable
-// storage (not a scratch temp), so callers must respect evaluation-order
-// hazards before reusing it.
+// its flattened value. direct reports that the register is live storage
+// a later side effect can change (a variable, or a callee's frame), so
+// callers must respect evaluation-order hazards before reusing it.
 func (cc *compiler) compileExpr(e glsl.Expr) (reg int32, direct bool) {
+	return cc.compileTo(e, anywhere)
+}
+
+// compileTo is compileExpr with a target: when the value can be produced
+// in t's registers it is, and reg == t.r.
+func (cc *compiler) compileTo(e glsl.Expr, t target) (reg int32, direct bool) {
+	if v, s, ok := constValue(e); ok {
+		cc.pending.AddStats(&s)
+		return cc.konst(v), false
+	}
 	switch n := e.(type) {
-	case *glsl.IntLit:
-		t := cc.temp(1)
-		cc.emit(instr{op: opLoadImm, dst: t, imm: float32(n.Val)})
-		return t, false
-	case *glsl.FloatLit:
-		t := cc.temp(1)
-		cc.emit(instr{op: opLoadImm, dst: t, imm: n.Val})
-		return t, false
-	case *glsl.BoolLit:
-		t := cc.temp(1)
-		var v float32
-		if n.Val {
-			v = 1
-		}
-		cc.emit(instr{op: opLoadImm, dst: t, imm: v})
-		return t, false
 	case *glsl.Ident:
 		return cc.varReg(n), true
 	case *glsl.BinaryExpr:
-		return cc.compileBinary(n)
+		return cc.compileBinary(n, t), false
 	case *glsl.UnaryExpr:
-		return cc.compileUnary(n)
+		return cc.compileUnary(n, t)
 	case *glsl.CondExpr:
 		cond, _ := cc.compileExpr(n.Cond)
 		cc.pending.Select += uint64(n.Type().ComponentCount())
 		size := flatSize(n.Type())
-		out := cc.temp(size)
+		if t.r < 0 {
+			t = target{r: cc.temp(size), fresh: true}
+		}
+		out := t.r
 		elseL, endL := cc.newLabel(), cc.newLabel()
 		cc.branch(opJz, cond, elseL, endL)
 		mark := cc.tempTop
-		tr, _ := cc.compileExpr(n.Then)
-		cc.emit(instr{op: opMov, dst: out, a: tr, n: size})
+		tr, _ := cc.compileTo(n.Then, t)
+		cc.move(out, tr, size)
 		cc.jump(opJmp, 0, endL)
 		cc.bind(elseL)
 		cc.tempTop = mark // branches are exclusive; share scratch space
-		er, _ := cc.compileExpr(n.Else)
-		cc.emit(instr{op: opMov, dst: out, a: er, n: size})
+		er, _ := cc.compileTo(n.Else, t)
+		cc.move(out, er, size)
 		cc.bind(endL)
 		return out, false
 	case *glsl.AssignExpr:
 		return cc.compileAssign(n)
 	case *glsl.SequenceExpr:
-		cc.compileExpr(n.X)
-		return cc.compileExpr(n.Y)
+		cc.effect(n.X)
+		return cc.compileTo(n.Y, t)
 	case *glsl.CallExpr:
-		return cc.compileCall(n)
+		return cc.compileCall(n, t)
 	case *glsl.FieldExpr:
-		return cc.compileField(n)
+		return cc.compileField(n, t)
 	case *glsl.IndexExpr:
-		return cc.compileIndex(n)
+		return cc.compileIndex(n, t)
 	}
 	cc.fail(e.NodePos(), "unknown expression %T", e)
 	return 0, false
 }
 
-func (cc *compiler) compileField(n *glsl.FieldExpr) (int32, bool) {
+func (cc *compiler) compileField(n *glsl.FieldExpr, t target) (int32, bool) {
 	x, xdir := cc.compileExpr(n.X)
 	if n.Swizzle != nil {
-		out := cc.temp(int32(len(n.Swizzle)))
-		cc.emit(instr{op: opSwizLoad, dst: out, a: x, n: int32(len(n.Swizzle)), aux: packSwz(n.Swizzle)})
 		cc.pending.Mov += uint64(len(n.Swizzle))
+		if contiguous(n.Swizzle) {
+			return x + int32(n.Swizzle[0]), xdir
+		}
+		size := int32(len(n.Swizzle))
+		out := cc.out(t, size, operand{r: x, n: compCount(n.X.Type())})
+		cc.emit(instr{op: opSwizLoad, dst: out, a: x, n: size, aux: packSwz(n.Swizzle)})
 		return out, false
 	}
 	xt := n.X.Type()
@@ -883,57 +1211,48 @@ func (cc *compiler) compileField(n *glsl.FieldExpr) (int32, bool) {
 	return x + fieldOffset(xt, n.FieldIndex), xdir
 }
 
-func (cc *compiler) compileIndex(n *glsl.IndexExpr) (int32, bool) {
+func (cc *compiler) compileIndex(n *glsl.IndexExpr, t target) (int32, bool) {
 	x, xdir := cc.compileExpr(n.X)
 	xt := n.X.Type()
-	if xdir && hasSideEffects(n.Index) {
+	if xdir && cc.mayChange(x, flatSize(xt), n.Index) {
 		// The interpreter evaluates x to a value before the index runs.
 		x = cc.materialize(x, true, flatSize(xt))
 		xdir = false
 	}
 	if lit, ok := n.Index.(*glsl.IntLit); ok {
-		idx := clampIndex(int(lit.Val), indexLimit(xt))
+		idx := int32(clampIndex(int(lit.Val), indexLimit(xt)))
 		switch {
 		case xt.Kind == glsl.KArray:
-			return x + int32(idx)*flatSize(xt.Elem), xdir
+			return x + idx*flatSize(xt.Elem), xdir
 		case xt.IsVector():
-			out := cc.temp(1)
-			cc.emit(instr{op: opMov, dst: out, a: x + int32(idx), n: 1})
 			cc.pending.Mov++
-			return out, false
+			return x + idx, xdir
 		case xt.IsMatrix():
 			dim := int32(xt.MatrixDim())
-			out := cc.temp(dim)
-			cc.emit(instr{op: opMov, dst: out, a: x + int32(idx)*dim, n: dim})
 			cc.pending.Mov += uint64(dim)
-			return out, false
+			return x + idx*dim, xdir
 		}
 		cc.fail(n.Pos, "type %s is not indexable", xt)
 	}
 	idxReg, _ := cc.compileExpr(n.Index)
+	var stride, limit int32
 	switch {
 	case xt.Kind == glsl.KArray:
-		stride := flatSize(xt.Elem)
-		addr := cc.emitDynAddr(idxReg, -1, x, stride, int32(xt.ArrayLen))
-		out := cc.temp(stride)
-		cc.emit(instr{op: opLoadInd, dst: out, a: addr, n: stride})
-		return out, false
+		stride, limit = flatSize(xt.Elem), int32(xt.ArrayLen)
 	case xt.IsVector():
-		addr := cc.emitDynAddr(idxReg, -1, x, 1, int32(xt.VectorSize()))
-		out := cc.temp(1)
-		cc.emit(instr{op: opLoadInd, dst: out, a: addr, n: 1})
+		stride, limit = 1, int32(xt.VectorSize())
 		cc.pending.Mov++
-		return out, false
 	case xt.IsMatrix():
-		dim := int32(xt.MatrixDim())
-		addr := cc.emitDynAddr(idxReg, -1, x, dim, dim)
-		out := cc.temp(dim)
-		cc.emit(instr{op: opLoadInd, dst: out, a: addr, n: dim})
-		cc.pending.Mov += uint64(dim)
-		return out, false
+		stride = int32(xt.MatrixDim())
+		limit = stride
+		cc.pending.Mov += uint64(stride)
+	default:
+		cc.fail(n.Pos, "type %s is not indexable", xt)
 	}
-	cc.fail(n.Pos, "type %s is not indexable", xt)
-	return 0, false
+	addr := cc.emitDynAddr(idxReg, -1, x, stride, limit)
+	out := cc.out(t, stride, operand{r: x, n: flatSize(xt)})
+	cc.emit(instr{op: opLoadInd, dst: out, a: addr, n: stride})
+	return out, false
 }
 
 func indexLimit(t *glsl.Type) int {
@@ -957,24 +1276,28 @@ func (cc *compiler) emitDynAddr(idxReg, baseReg, baseConst, stride, limit int32)
 	return addr
 }
 
-func (cc *compiler) compileUnary(n *glsl.UnaryExpr) (int32, bool) {
+// step computes x ± 1 for an increment or decrement n whose operand
+// holds its current value in register x, charging the interpreter's
+// Stats.
+func (cc *compiler) step(n *glsl.UnaryExpr, x int32, t target) int32 {
+	op := glsl.TokPlus
+	if n.Op == glsl.TokDec {
+		op = glsl.TokMinus
+	}
+	oneT := glsl.TypeFloat
+	if n.X.Type().ComponentType().Kind == glsl.KInt {
+		oneT = glsl.TypeInt
+	}
+	return cc.emitBinaryOp(op, x, cc.konst([]float32{1}), n.X.Type(), oneT, n.X.Type(), t)
+}
+
+func (cc *compiler) compileUnary(n *glsl.UnaryExpr, t target) (int32, bool) {
 	if n.Op == glsl.TokInc || n.Op == glsl.TokDec {
 		curR, curDir := cc.compileExpr(n.X)
-		nc := compCount(n.X.Type())
-		cur := cc.materialize(curR, curDir, nc)
-		one := cc.temp(1)
-		cc.emit(instr{op: opLoadImm, dst: one, imm: 1})
-		op := glsl.TokPlus
-		if n.Op == glsl.TokDec {
-			op = glsl.TokMinus
-		}
-		oneT := glsl.TypeFloat
-		if n.X.Type().ComponentType().Kind == glsl.KInt {
-			oneT = glsl.TypeInt
-		}
-		next := cc.emitBinaryOp(op, cur, one, n.X.Type(), oneT, n.X.Type())
+		cur := cc.materialize(curR, curDir, compCount(n.X.Type()))
+		next := cc.step(n, cur, anywhere)
 		lv := cc.compileLValue(n.X)
-		cc.store(lv, next, false, n.X.Type())
+		cc.store(lv, next)
 		if n.Postfix {
 			return cur, false
 		}
@@ -986,12 +1309,12 @@ func (cc *compiler) compileUnary(n *glsl.UnaryExpr) (int32, bool) {
 	case glsl.TokPlus:
 		return x, xdir
 	case glsl.TokMinus:
-		out := cc.temp(nc)
+		out := cc.out(t, nc, operand{r: x, n: nc, step: true})
 		cc.emit(instr{op: opNeg, dst: out, a: x, n: nc})
 		cc.pending.Add += uint64(nc)
 		return out, false
 	case glsl.TokBang:
-		out := cc.temp(1)
+		out := cc.out(t, 1)
 		cc.emit(instr{op: opNot, dst: out, a: x})
 		cc.pending.Logic++
 		return out, false
@@ -1000,55 +1323,63 @@ func (cc *compiler) compileUnary(n *glsl.UnaryExpr) (int32, bool) {
 	return 0, false
 }
 
-func (cc *compiler) compileBinary(n *glsl.BinaryExpr) (int32, bool) {
+func (cc *compiler) compileBinary(n *glsl.BinaryExpr, t target) int32 {
 	switch n.Op {
-	case glsl.TokAndAnd:
+	case glsl.TokAndAnd, glsl.TokOrOr:
+		// x && y is y's truth when x holds, else false; x || y is true
+		// when x holds, else y's truth.
 		x, _ := cc.compileExpr(n.X)
 		cc.pending.Logic++
-		out := cc.temp(1)
-		falseL, endL := cc.newLabel(), cc.newLabel()
-		cc.branch(opJz, x, falseL, endL)
+		out := t.r
+		if out < 0 {
+			out = cc.temp(1)
+		}
+		shortL, endL := cc.newLabel(), cc.newLabel()
+		op := opJz
+		if n.Op == glsl.TokOrOr {
+			op = opJnz
+		}
+		cc.branch(op, x, shortL, endL)
 		y, _ := cc.compileExpr(n.Y)
 		cc.emit(instr{op: opBoolNorm, dst: out, a: y})
 		cc.jump(opJmp, 0, endL)
-		cc.bind(falseL)
-		cc.emit(instr{op: opLoadImm, dst: out, imm: 0})
+		cc.bind(shortL)
+		if n.Op == glsl.TokOrOr {
+			cc.emit(instr{op: opMov, dst: out, a: cc.konst([]float32{1}), n: 1})
+		} else {
+			cc.emit(instr{op: opZero, dst: out, n: 1})
+		}
 		cc.bind(endL)
-		return out, false
-	case glsl.TokOrOr:
-		x, _ := cc.compileExpr(n.X)
-		cc.pending.Logic++
-		out := cc.temp(1)
-		trueL, endL := cc.newLabel(), cc.newLabel()
-		cc.branch(opJnz, x, trueL, endL)
-		y, _ := cc.compileExpr(n.Y)
-		cc.emit(instr{op: opBoolNorm, dst: out, a: y})
-		cc.jump(opJmp, 0, endL)
-		cc.bind(trueL)
-		cc.emit(instr{op: opLoadImm, dst: out, imm: 1})
-		cc.bind(endL)
-		return out, false
+		return out
 	}
 	x, xdir := cc.compileExpr(n.X)
-	if xdir && hasSideEffects(n.Y) {
+	if xdir && cc.mayChange(x, flatSize(n.X.Type()), n.Y) {
 		x = cc.materialize(x, true, flatSize(n.X.Type()))
 	}
 	y, _ := cc.compileExpr(n.Y)
-	return cc.emitBinaryOp(n.Op, x, y, n.X.Type(), n.Y.Type(), n.Type()), false
+	return cc.emitBinaryOp(n.Op, x, y, n.X.Type(), n.Y.Type(), n.Type(), t)
+}
+
+// compoundOp maps a compound assignment to its binary operator.
+var compoundOp = map[glsl.TokenKind]glsl.TokenKind{
+	glsl.TokPlusAssign:  glsl.TokPlus,
+	glsl.TokMinusAssign: glsl.TokMinus,
+	glsl.TokStarAssign:  glsl.TokStar,
+	glsl.TokSlashAssign: glsl.TokSlash,
 }
 
 // emitBinaryOp mirrors the interpreter's applyBinary, including its Stats
 // accounting.
-func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *glsl.Type) int32 {
+func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *glsl.Type, t target) int32 {
 	switch op {
 	case glsl.TokXorXor:
 		cc.pending.Logic++
-		out := cc.temp(1)
+		out := cc.out(t, 1)
 		cc.emit(instr{op: opXorXor, dst: out, a: x, b: y})
 		return out
 	case glsl.TokLess, glsl.TokGreater, glsl.TokLessEq, glsl.TokGreaterEq:
 		cc.pending.Cmp++
-		out := cc.temp(1)
+		out := cc.out(t, 1)
 		var o opcode
 		switch op {
 		case glsl.TokLess:
@@ -1064,7 +1395,7 @@ func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *gl
 		return out
 	case glsl.TokEqEq, glsl.TokNotEq:
 		cc.pending.Cmp += uint64(maxI(1, xt.ComponentCount()))
-		out := cc.temp(1)
+		out := cc.out(t, 1)
 		o := opEqV
 		if op == glsl.TokNotEq {
 			o = opNeV
@@ -1075,7 +1406,7 @@ func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *gl
 
 	if op == glsl.TokStar && (xt.IsMatrix() || yt.IsMatrix()) &&
 		!(xt.IsMatrix() && yt.IsScalar()) && !(xt.IsScalar() && yt.IsMatrix()) {
-		out := cc.temp(flatSize(resT))
+		out := cc.out(t, flatSize(resT), operand{r: x, n: flatSize(xt)}, operand{r: y, n: flatSize(yt)})
 		switch {
 		case xt.IsMatrix() && yt.IsMatrix():
 			d := xt.MatrixDim()
@@ -1099,11 +1430,14 @@ func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *gl
 	isInt := resT.ComponentType().Kind == glsl.KInt
 	nc := compCount(resT)
 	var aux int32
+	xo, yo := operand{r: x, n: nc, step: true}, operand{r: y, n: nc, step: true}
 	if xt.IsScalar() && nc > 1 {
 		aux |= 1
+		xo = operand{r: x, n: 1}
 	}
 	if yt.IsScalar() && nc > 1 {
 		aux |= 2
+		yo = operand{r: y, n: 1}
 	}
 	var o opcode
 	switch op {
@@ -1126,7 +1460,7 @@ func (cc *compiler) emitBinaryOp(op glsl.TokenKind, x, y int32, xt, yt, resT *gl
 	default:
 		cc.fail(glsl.Pos{}, "unsupported binary operator %s", op)
 	}
-	out := cc.temp(nc)
+	out := cc.out(t, nc, xo, yo)
 	cc.emit(instr{op: o, dst: out, a: x, b: y, n: nc, aux: aux})
 	return out
 }
@@ -1252,77 +1586,68 @@ func (cc *compiler) compileLValue(e glsl.Expr) lplace {
 }
 
 // store writes src into the compiled place, mirroring Exec.store (raw
-// component copy, no conversions, no Stats).
-func (cc *compiler) store(lv lplace, src int32, srcDirect bool, t *glsl.Type) {
-	if lv.comps == nil {
-		if lv.addr < 0 {
-			cc.emit(instr{op: opMov, dst: lv.base, a: src, n: lv.size})
-		} else {
-			cc.emit(instr{op: opStoreInd, a: lv.addr, b: src, n: lv.size})
-		}
-		return
-	}
-	// Component stores write one lane at a time; materialize a direct
-	// source so overlapping selections (v.xy = v.yx) behave like the
-	// interpreter's evaluate-then-store.
-	src = cc.materialize(src, srcDirect, int32(len(lv.comps)))
-	if lv.addr < 0 {
-		cc.emit(instr{op: opSwizStore, dst: lv.base, a: src, n: int32(len(lv.comps)), aux: packSwz(lv.comps)})
-	} else {
-		cc.emit(instr{op: opStoreIndC, a: lv.addr, b: src, n: int32(len(lv.comps)), aux: packSwz(lv.comps)})
+// component copy, no conversions, no Stats). Callers pass a src that no
+// store can overlap (a materialized value), like the interpreter's
+// evaluate-then-store.
+func (cc *compiler) store(lv lplace, src int32) {
+	n := int32(len(lv.comps))
+	switch {
+	case lv.comps == nil && lv.addr < 0:
+		cc.emit(instr{op: opMov, dst: lv.base, a: src, n: lv.size})
+	case lv.comps == nil:
+		cc.emit(instr{op: opStoreInd, a: lv.addr, b: src, n: lv.size})
+	case lv.addr < 0:
+		cc.emit(instr{op: opSwizStore, dst: lv.base, a: src, n: n, aux: packSwz(lv.comps)})
+	default:
+		cc.emit(instr{op: opStoreIndC, a: lv.addr, b: src, n: n, aux: packSwz(lv.comps)})
 	}
 }
 
+// compileAssign lowers an assignment whose value is used; effect lowers
+// one whose value is not.
 func (cc *compiler) compileAssign(n *glsl.AssignExpr) (int32, bool) {
 	rhs, rhsDir := cc.compileExpr(n.RHS)
 	// The interpreter evaluates the RHS to a value before resolving the
 	// destination; materialize it if resolving the LHS can mutate state.
-	if rhsDir && hasSideEffects(n.LHS) {
+	if rhsDir && cc.mayChange(rhs, flatSize(n.RHS.Type()), n.LHS) {
 		rhs = cc.materialize(rhs, true, flatSize(n.RHS.Type()))
 		rhsDir = false
 	}
 	lv := cc.compileLValue(n.LHS)
 	if n.Op != glsl.TokAssign {
-		cur, curDir := cc.compileExpr(n.LHS)
-		_ = curDir
-		op := map[glsl.TokenKind]glsl.TokenKind{
-			glsl.TokPlusAssign:  glsl.TokPlus,
-			glsl.TokMinusAssign: glsl.TokMinus,
-			glsl.TokStarAssign:  glsl.TokStar,
-			glsl.TokSlashAssign: glsl.TokSlash,
-		}[n.Op]
-		rhs = cc.emitBinaryOp(op, cur, rhs, n.LHS.Type(), n.RHS.Type(), n.Type())
+		cur, _ := cc.compileExpr(n.LHS)
+		rhs = cc.emitBinaryOp(compoundOp[n.Op], cur, rhs, n.LHS.Type(), n.RHS.Type(), n.Type(), anywhere)
 		rhsDir = false
 	}
 	// The interpreter materializes the RHS value before storing; do the
 	// same so the assignment result survives the store.
 	rhs = cc.materialize(rhs, rhsDir, flatSize(n.Type()))
 	cc.pending.Mov += uint64(maxI(1, n.Type().ComponentCount()))
-	cc.store(lv, rhs, false, n.Type())
+	cc.store(lv, rhs)
 	return rhs, false
 }
 
 // ---- Calls ----
 
-func (cc *compiler) compileCall(n *glsl.CallExpr) (int32, bool) {
+func (cc *compiler) compileCall(n *glsl.CallExpr, t target) (int32, bool) {
 	switch n.Kind {
 	case glsl.CallTypeConstructor:
-		return cc.compileConstructor(n)
+		return cc.compileConstructor(n, t)
 	case glsl.CallStructConstructor:
-		t := n.CtorType
-		out := cc.temp(flatSize(t))
-		args := cc.compileArgs(n.Args)
+		ct := n.CtorType
+		out := cc.slots(t, flatSize(ct))
 		off := out
-		for i, f := range t.Struct.Fields {
+		for i, f := range ct.Struct.Fields {
 			size := flatSize(f.Type)
-			cc.emit(instr{op: opMov, dst: off, a: args[i], n: size})
+			r, _ := cc.compileTo(n.Args[i], target{off, true})
+			cc.move(off, r, size)
 			off += size
 		}
 		return out, false
 	case glsl.CallBuiltin:
-		return cc.compileBuiltin(n)
+		return cc.compileBuiltin(n, t), false
 	case glsl.CallUser:
-		return cc.compileUserCall(n)
+		return cc.compileUserCall(n, t)
 	}
 	cc.fail(n.Pos, "unresolved call to %q", n.Callee)
 	return 0, false
@@ -1334,109 +1659,155 @@ func (cc *compiler) compileArgs(args []glsl.Expr) []int32 {
 	regs := make([]int32, len(args))
 	for i, a := range args {
 		r, dir := cc.compileExpr(a)
-		if dir {
-			for _, later := range args[i+1:] {
-				if hasSideEffects(later) {
-					r = cc.materialize(r, true, flatSize(a.Type()))
-					break
-				}
-			}
+		if dir && cc.mayChange(r, flatSize(a.Type()), args[i+1:]...) {
+			r = cc.materialize(r, true, flatSize(a.Type()))
 		}
 		regs[i] = r
 	}
 	return regs
 }
 
-func (cc *compiler) compileConstructor(n *glsl.CallExpr) (int32, bool) {
-	t := n.CtorType
-	args := cc.compileArgs(n.Args)
+// mayChange reports whether evaluating exprs can change the n registers
+// from r, which hold a value read from storage: an assignment, an
+// increment or an out-parameter writeback can change any variable, a user
+// call anything but the steady registers (isSteady).
+func (cc *compiler) mayChange(r, n int32, exprs ...glsl.Expr) bool {
+	steady := cc.isSteady(r, n)
+	changes := func(e glsl.Expr) bool {
+		switch x := e.(type) {
+		case *glsl.AssignExpr:
+			return true
+		case *glsl.UnaryExpr:
+			return x.Op == glsl.TokInc || x.Op == glsl.TokDec
+		case *glsl.CallExpr:
+			if x.Kind != glsl.CallUser {
+				return false
+			}
+			if !steady || x.Func == nil {
+				return true
+			}
+			for _, p := range x.Func.Params {
+				if p.Dir != glsl.DirIn {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, e := range exprs {
+		if findExpr(e, changes) {
+			return true
+		}
+	}
+	return false
+}
+
+// convOp is the instruction converting components to target's component
+// type under the constructor rules of convertCompAt; opMov copies them
+// unchanged.
+func convOp(target, src *glsl.Type) opcode {
+	switch target.ComponentType().Kind {
+	case glsl.KInt:
+		if src.ComponentType().Kind == glsl.KFloat {
+			return opConvInt
+		}
+	case glsl.KBool:
+		return opConvBool
+	}
+	return opMov
+}
+
+// compileConstructor lowers a scalar, vector or matrix constructor. The
+// checker guarantees the arguments supply enough components and that only
+// the last one is truncated. Constructors that only select or copy
+// registers emit nothing.
+func (cc *compiler) compileConstructor(n *glsl.CallExpr, t target) (int32, bool) {
+	ct := n.CtorType
 	switch {
-	case t.IsScalar():
-		out := cc.temp(1)
-		cc.emitConvert(out, args[0], 1, t, n.Args[0].Type())
+	case ct.IsScalar():
 		cc.pending.Mov++
-		return out, false
-	case t.IsVector():
-		size := int32(t.VectorSize())
-		out := cc.temp(size)
-		if len(args) == 1 && n.Args[0].Type().IsScalar() {
-			conv := cc.temp(1)
-			cc.emitConvert(conv, args[0], 1, t, n.Args[0].Type())
-			cc.emit(instr{op: opSplat, dst: out, a: conv, n: size})
-		} else {
-			cc.emit(instr{op: opZero, dst: out, n: size})
-			var k int32
-			for i, a := range args {
-				at := n.Args[i].Type()
-				an := compCount(at)
-				cnt := an
-				if k+cnt > size {
-					cnt = size - k
-				}
-				if cnt <= 0 {
-					break
-				}
-				cc.emitConvert(out+k, a, cnt, t, at)
-				k += cnt
-			}
+		r, dir := cc.compileExpr(n.Args[0])
+		op := convOp(ct, n.Args[0].Type())
+		if op == opMov {
+			return r, dir
 		}
+		out := cc.out(t, 1)
+		cc.emit(instr{op: op, dst: out, a: r, n: 1})
+		return out, false
+	case ct.IsVector():
+		size := int32(ct.VectorSize())
 		cc.pending.Mov += uint64(size)
-		return out, false
-	case t.IsMatrix():
-		dim := int32(t.MatrixDim())
-		out := cc.temp(dim * dim)
-		if len(args) == 1 && n.Args[0].Type().IsScalar() {
-			cc.emit(instr{op: opMatDiag, dst: out, a: args[0], n: dim})
-		} else {
-			cc.emit(instr{op: opZero, dst: out, n: dim * dim})
-			var k int32
-			for i, a := range args {
-				an := compCount(n.Args[i].Type())
-				cnt := an
-				if k+cnt > dim*dim {
-					cnt = dim*dim - k
+		if len(n.Args) == 1 {
+			at := n.Args[0].Type()
+			r, dir := cc.compileExpr(n.Args[0])
+			op := convOp(ct, at)
+			if at.IsScalar() {
+				if op != opMov {
+					c := cc.temp(1)
+					cc.emit(instr{op: op, dst: c, a: r, n: 1})
+					r = c
 				}
-				if cnt <= 0 {
-					break
-				}
-				// Matrix constructors copy raw components, no conversion.
-				cc.emit(instr{op: opMov, dst: out + k, a: a, n: cnt})
-				k += cnt
+				out := cc.out(t, size, operand{r: r, n: 1})
+				cc.emit(instr{op: opSplat, dst: out, a: r, n: size})
+				return out, false
 			}
+			if op == opMov {
+				return r, dir // the leading components of one vector
+			}
+			out := cc.out(t, size, operand{r: r, n: size, step: true})
+			cc.emit(instr{op: op, dst: out, a: r, n: size})
+			return out, false
 		}
+		out := cc.slots(t, size)
+		var k int32
+		for _, a := range n.Args {
+			an := compCount(a.Type())
+			cnt := min(an, size-k)
+			if op := convOp(ct, a.Type()); op != opMov || cnt < an {
+				r, _ := cc.compileExpr(a)
+				if cnt > 0 {
+					cc.emit(instr{op: op, dst: out + k, a: r, n: cnt})
+				}
+			} else {
+				r, _ := cc.compileTo(a, target{out + k, true})
+				cc.move(out+k, r, cnt)
+			}
+			k += max(cnt, 0)
+		}
+		return out, false
+	case ct.IsMatrix():
+		dim := int32(ct.MatrixDim())
 		cc.pending.Mov += uint64(dim * dim)
+		if len(n.Args) == 1 && n.Args[0].Type().IsScalar() {
+			r, _ := cc.compileExpr(n.Args[0])
+			out := cc.out(t, dim*dim, operand{r: r, n: 1})
+			cc.emit(instr{op: opMatDiag, dst: out, a: r, n: dim})
+			return out, false
+		}
+		// Matrix constructors copy raw components, no conversion.
+		out := cc.slots(t, dim*dim)
+		k := out
+		for _, a := range n.Args {
+			an := compCount(a.Type())
+			r, _ := cc.compileTo(a, target{k, true})
+			cc.move(k, r, an)
+			k += an
+		}
 		return out, false
 	}
-	cc.fail(n.Pos, "cannot construct %s", t)
+	cc.fail(n.Pos, "cannot construct %s", ct)
 	return 0, false
 }
 
-// emitConvert copies n components from src to dst applying the
-// constructor conversion rules of convertCompAt.
-func (cc *compiler) emitConvert(dst, src, n int32, target, srcT *glsl.Type) {
-	switch target.ComponentType().Kind {
-	case glsl.KInt:
-		if srcT.ComponentType().Kind == glsl.KFloat {
-			cc.emit(instr{op: opConvInt, dst: dst, a: src, n: n})
-			return
-		}
-	case glsl.KBool:
-		cc.emit(instr{op: opConvBool, dst: dst, a: src, n: n})
-		return
-	}
-	cc.emit(instr{op: opMov, dst: dst, a: src, n: n})
-}
-
-func (cc *compiler) compileUserCall(n *glsl.CallExpr) (int32, bool) {
+func (cc *compiler) compileUserCall(n *glsl.CallExpr, t target) (int32, bool) {
 	fd := n.Func
 	if fd == nil || fd.Body == nil {
 		cc.fail(n.Pos, "call to undefined function %q", n.Callee)
 	}
-	idx, ok := cc.funcIdx[fd]
+	fi, ok := cc.frames[fd]
 	if !ok {
 		cc.fail(n.Pos, "function %q was not discovered during layout", fd.Name)
 	}
-	fi := cc.comp.funcs[idx]
 	cc.pending.Call++
 
 	// When an argument expression can itself invoke user code, evaluate
@@ -1449,86 +1820,153 @@ func (cc *compiler) compileUserCall(n *glsl.CallExpr) (int32, bool) {
 			break
 		}
 	}
-	argTmp := make([]int32, len(n.Args))
+	// An inlined callee reads a parameter it never writes straight from
+	// the argument's registers when nothing can change them during the
+	// call; vals holds the arguments still to copy into parameters.
+	locals, steady := fi.localOff, [][2]int32{{fi.retBase, fi.frameEnd}}
+	vals := make([]int32, len(n.Args))
+	writeback := false
 	for i, a := range n.Args {
 		p := fd.Params[i]
+		vals[i] = -1
+		if p.Dir != glsl.DirIn {
+			writeback = true
+			if p.Dir == glsl.DirOut {
+				continue
+			}
+		}
+		psize := flatSize(p.DeclType)
+		preg := fi.localOff[p.Slot]
+		alias := fi.inline && p.Dir == glsl.DirIn && !writes(fd, p)
+		want := anywhere
+		if !indirect && !alias {
+			want = target{preg, true}
+		}
+		r, dir := cc.compileTo(a, want)
+		if dir && (indirect || cc.mayChange(r, psize, n.Args[i+1:]...)) {
+			r, dir = cc.materialize(r, true, psize), false
+		}
+		switch {
+		case alias && (!dir || cc.isSteady(r, psize)):
+			if len(steady) == 1 {
+				locals = append([]int32(nil), locals...)
+			}
+			locals[p.Slot] = r
+			steady = append(steady, [2]int32{r, r + psize})
+		case indirect:
+			vals[i] = r
+		default:
+			cc.move(preg, r, psize)
+		}
+	}
+	for i, p := range fd.Params {
 		psize := flatSize(p.DeclType)
 		preg := fi.localOff[p.Slot]
 		if p.Dir == glsl.DirOut {
-			argTmp[i] = -1
-			if !indirect {
-				cc.emit(instr{op: opZero, dst: preg, n: psize})
-			}
-			continue
-		}
-		r, dir := cc.compileExpr(a)
-		if dir {
-			for _, later := range n.Args[i+1:] {
-				if hasSideEffects(later) {
-					r = cc.materialize(r, true, psize)
-					dir = false
-					break
-				}
-			}
-		}
-		if indirect {
-			argTmp[i] = cc.materialize(r, dir, psize)
-		} else {
-			cc.emit(instr{op: opMov, dst: preg, a: r, n: psize})
+			cc.emit(instr{op: opZero, dst: preg, n: psize})
+		} else if vals[i] >= 0 {
+			cc.move(preg, vals[i], psize)
 		}
 	}
-	if indirect {
-		for i, p := range fd.Params {
-			psize := flatSize(p.DeclType)
-			preg := fi.localOff[p.Slot]
-			if p.Dir == glsl.DirOut {
-				cc.emit(instr{op: opZero, dst: preg, n: psize})
-			} else {
-				cc.emit(instr{op: opMov, dst: preg, a: argTmp[i], n: psize})
-			}
-		}
-	}
-	cc.flushStats()
-	cc.emit(instr{op: opCall, aux: idx})
-	// A discard in the callee's own body unwinds exactly one level in the
-	// interpreter: this call's out/inout writebacks (and their Stats) still
-	// run, then the invocation aborts. Capture the flag, run the epilogue,
-	// then halt if it was set (see Exec.evalUserCall's ctrlDiscard path).
-	dflag := cc.temp(1)
-	cc.emit(instr{op: opDiscardTake, dst: dflag})
 
 	var ret int32
-	if fi.retSize > 0 {
-		ret = cc.temp(fi.retSize)
-		cc.emit(instr{op: opMov, dst: ret, a: fi.retBase, n: fi.retSize})
+	retDir := false
+	dflag := int32(-1)
+	if fi.inline {
+		// The body runs in place, its locals in the callee's frame and its
+		// scratch in the caller's; the value of the final return is the
+		// call's, produced straight into t unless out parameters are
+		// still to be written back.
+		savedLocals, savedSteady := cc.locals, cc.steady
+		cc.locals, cc.steady = locals, steady
+		st := fd.Body.Stmts
+		var last *glsl.ReturnStmt
+		if endsInReturn(fd) {
+			last = st[len(st)-1].(*glsl.ReturnStmt)
+			st = st[:len(st)-1]
+		}
+		for _, s := range st {
+			cc.compileStmt(s)
+		}
+		if last != nil && last.X != nil {
+			rt := t
+			if writeback {
+				rt = anywhere
+			}
+			ret, retDir = cc.compileTo(last.X, rt)
+		}
+		cc.locals, cc.steady = savedLocals, savedSteady
+	} else {
+		cc.flushStats()
+		cc.emit(instr{op: opCall, aux: fi.idx})
+		if findStmt(fd.Body, isDiscard, nil) {
+			// A discard in the callee's own body unwinds exactly one
+			// level in the interpreter: this call's out/inout writebacks
+			// (and their Stats) still run, then the invocation aborts.
+			// Capture the flag, run the epilogue, then halt if it was set
+			// (see Exec.evalUserCall's ctrlDiscard path).
+			dflag = cc.temp(1)
+			cc.emit(instr{op: opDiscardTake, dst: dflag})
+		}
+		ret, retDir = fi.retBase, true
 	}
-	// Copy out/inout parameters before any writeback l-value evaluation
-	// can reuse callee registers, then store them in parameter order.
-	type writeback struct {
-		arg  glsl.Expr
-		tmp  int32
-		decl *glsl.VarDecl
-	}
-	var wbs []writeback
-	for i, p := range fd.Params {
-		if p.Dir == glsl.DirOut || p.Dir == glsl.DirInOut {
-			size := flatSize(p.DeclType)
-			tmp := cc.temp(size)
-			cc.emit(instr{op: opMov, dst: tmp, a: fi.localOff[p.Slot], n: size})
-			wbs = append(wbs, writeback{arg: n.Args[i], tmp: tmp, decl: p})
+
+	if writeback {
+		// Copy the result and the out/inout parameters before any
+		// writeback l-value evaluation can reuse callee registers, then
+		// store them in parameter order.
+		ret = cc.materialize(ret, retDir, fi.retSize)
+		retDir = false
+		type wb struct {
+			arg  glsl.Expr
+			tmp  int32
+			decl *glsl.VarDecl
+		}
+		var wbs []wb
+		for i, p := range fd.Params {
+			if p.Dir != glsl.DirIn {
+				wbs = append(wbs, wb{n.Args[i], cc.materialize(fi.localOff[p.Slot], true, flatSize(p.DeclType)), p})
+			}
+		}
+		for _, w := range wbs {
+			cc.store(cc.compileLValue(w.arg), w.tmp)
+			cc.pending.Mov += uint64(maxI(1, w.decl.DeclType.ComponentCount()))
 		}
 	}
-	for _, wb := range wbs {
-		lv := cc.compileLValue(wb.arg)
-		cc.store(lv, wb.tmp, false, wb.decl.DeclType)
-		cc.pending.Mov += uint64(maxI(1, wb.decl.DeclType.ComponentCount()))
+	if dflag >= 0 {
+		cc.flushStats()
+		cc.emit(instr{op: opDiscardHalt, a: dflag})
 	}
-	cc.flushStats()
-	cc.emit(instr{op: opDiscardHalt, a: dflag})
-	return ret, false
+	return ret, retDir
 }
 
-func (cc *compiler) compileBuiltin(n *glsl.CallExpr) (int32, bool) {
+// isSteady reports whether registers [r, r+n) keep their value while a
+// call made from the code being lowered runs: a local of the function
+// being lowered, or an argument an enclosing inlined callee reads in
+// place.
+func (cc *compiler) isSteady(r, n int32) bool {
+	for _, s := range cc.steady {
+		if r >= s[0] && r+n <= s[1] {
+			return true
+		}
+	}
+	return false
+}
+
+// componentwise reports whether the VM evaluates builtin id one component
+// at a time, reading component i of each argument just before writing
+// component i of the result (its lane-inner cases in execBuiltin), so a
+// non-broadcast argument may share the result's registers.
+func componentwise(id glsl.BuiltinID) bool {
+	switch id {
+	case glsl.BFloor, glsl.BFract, glsl.BAbs, glsl.BMod, glsl.BMin, glsl.BMax,
+		glsl.BClamp, glsl.BMix, glsl.BStep, glsl.BExp2, glsl.BLog2:
+		return true
+	}
+	return false
+}
+
+func (cc *compiler) compileBuiltin(n *glsl.CallExpr, t target) int32 {
 	sig := n.Builtin
 	if sig == nil {
 		cc.fail(n.Pos, "unresolved builtin %q", n.Callee)
@@ -1542,20 +1980,23 @@ func (cc *compiler) compileBuiltin(n *glsl.CallExpr) (int32, bool) {
 		nargs: int32(len(args)),
 		nc:    compCount(n.Type()),
 	}
+	var ops []operand
 	for i, r := range args {
 		d.args[i] = r
 		d.scalar[i] = n.Args[i].Type().IsScalar()
+		if w := flatSize(n.Args[i].Type()); sig.ID != glsl.BDot { // dot reads all, then writes one
+			ops = append(ops, operand{r: r, n: w, step: componentwise(sig.ID) && w == d.nc})
+		}
 	}
 	if len(n.Args) > 0 {
 		d.an = compCount(n.Args[0].Type())
 		d.dim = int32(n.Args[0].Type().MatrixDim())
 	}
-	out := cc.temp(maxI32(d.nc, 1))
-	d.dst = out
+	d.dst = cc.out(t, maxI32(d.nc, 1), ops...)
 	cc.addBuiltinStats(sig.ID, int(d.nc), int(d.an), int(d.dim))
 	cc.comp.builtins = append(cc.comp.builtins, d)
 	cc.emit(instr{op: opBuiltin, aux: int32(len(cc.comp.builtins) - 1)})
-	return out, false
+	return d.dst
 }
 
 // addBuiltinStats reproduces the per-builtin Stats accounting of

@@ -6,7 +6,7 @@ import (
 	"glescompute/internal/glsl"
 )
 
-// TextureSampler provides texel fetches to the executor. The GLES context
+// TextureSampler provides texel fetches to the executors. The GLES context
 // implements it; tests can provide fakes.
 type TextureSampler interface {
 	// Sample2D samples the 2D texture bound to the given unit at
@@ -14,6 +14,12 @@ type TextureSampler interface {
 	Sample2D(unit int, s, t float32) [4]float32
 	// SampleCube samples the cube texture bound to the given unit.
 	SampleCube(unit int, s, t, r float32) [4]float32
+	// SampleLanes runs one texture instruction of a lane group: for each
+	// lane l in act it samples the unit int(unit[l]) at (s[l], t[l]) — the
+	// cube texture at (s[l], t[l], r[l]) when r is non-nil — and writes
+	// the RGBA result to out[0..3][l], exactly as Sample2D or SampleCube
+	// would. out shares no registers with the coordinates.
+	SampleLanes(unit, s, t, r *[LaneWidth]float32, act []uint8, out *[4][LaneWidth]float32)
 }
 
 // nullSampler returns opaque black, the GL behaviour for incomplete
@@ -25,6 +31,11 @@ func (nullSampler) Sample2D(int, float32, float32) [4]float32 {
 }
 func (nullSampler) SampleCube(int, float32, float32, float32) [4]float32 {
 	return [4]float32{0, 0, 0, 1}
+}
+func (nullSampler) SampleLanes(_, _, _, _ *[LaneWidth]float32, act []uint8, out *[4][LaneWidth]float32) {
+	for _, l := range act {
+		out[0][l&15], out[1][l&15], out[2][l&15], out[3][l&15] = 0, 0, 0, 1
+	}
 }
 
 // SFUConfig models the precision of the QPU special function unit. The

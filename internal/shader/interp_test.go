@@ -24,6 +24,10 @@ func (s *fakeSampler) SampleCube(unit int, x, y, z float32) [4]float32 {
 	return [4]float32{x, y, z, 1}
 }
 
+func (s *fakeSampler) SampleLanes(unit, u, v, w *[LaneWidth]float32, act []uint8, out *[4][LaneWidth]float32) {
+	sampleEach(s, unit, u, v, w, act, out)
+}
+
 // runFragment compiles src as a fragment shader, applies setup, runs one
 // invocation and returns gl_FragColor.
 func runFragment(t *testing.T, src string, setup func(*Exec)) [4]float32 {

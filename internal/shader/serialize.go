@@ -3,8 +3,8 @@ package shader
 // Program-binary serialization for Compiled: the payload behind the gles
 // OES_get_program_binary-style entry points and core's persistent compile
 // cache. The blob carries everything the VM and the link tables need at
-// runtime — the bytecode stream, the Stats flush table, builtin
-// call descriptors, the register layout, and interface-variable stubs
+// runtime — the bytecode stream, the constant pool, the Stats flush table,
+// builtin call descriptors, the register layout, and interface-variable stubs
 // (name/slot/type for every uniform, attribute and varying) — and nothing
 // else: the full AST is dropped, so an unmarshaled Compiled supports VM
 // execution and program linking but not the tree-walking interpreter.
@@ -17,6 +17,7 @@ package shader
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -26,7 +27,7 @@ import (
 // BinaryFormatVersion identifies the Compiled wire format. Bump it whenever
 // the instruction set, the Stats layout, or any serialized structure
 // changes shape; stale blobs then unmarshal to ErrBinaryVersion.
-const BinaryFormatVersion = 2
+const BinaryFormatVersion = 3
 
 var binaryMagic = [4]byte{'G', 'C', 'P', 'B'}
 
@@ -116,10 +117,13 @@ func (c *Compiled) MarshalBinary() ([]byte, error) {
 		w.i32(in.c)
 		w.i32(in.n)
 		w.i32(in.aux)
-		w.f32(in.imm)
 	}
 	w.i32(c.initEntry)
 	w.i32(c.mainEntry)
+	w.u32(uint32(len(c.pool)))
+	for _, v := range c.pool {
+		w.f32(v)
+	}
 
 	w.u32(uint32(len(c.stats)))
 	for i := range c.stats {
@@ -370,7 +374,7 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 	prog.Varyings = r.decls(glsl.QualVarying)
 
 	c := &Compiled{Prog: prog}
-	ncode := r.count(32)
+	ncode := r.count(28)
 	c.code = make([]instr, ncode)
 	for i := 0; i < ncode; i++ {
 		c.code[i] = instr{
@@ -381,11 +385,15 @@ func UnmarshalCompiled(data []byte) (*Compiled, error) {
 			c:   r.i32(),
 			n:   r.i32(),
 			aux: r.i32(),
-			imm: r.f32(),
 		}
 	}
 	c.initEntry = r.i32()
 	c.mainEntry = r.i32()
+	npool := r.count(4)
+	c.pool = make([]float32, npool)
+	for i := range c.pool {
+		c.pool[i] = r.f32()
+	}
 
 	nstats := r.count(96)
 	c.stats = make([]Stats, nstats)
@@ -457,10 +465,11 @@ const maxBinaryRegs = 1 << 20
 
 // validate checks every cross-reference a hostile blob could break — each
 // instruction's register operands by opcode, jump targets, table indices,
-// builtin descriptors, the global and builtin layout, call and loop depth
-// — so a corrupt or stale cache entry fails closed at load instead of
-// crashing a VM mid-draw. Only dynamic (indexed) addresses are left to the
-// VM, which checks them per lane and returns a RuntimeError.
+// builtin descriptors, the constant pool, the global and builtin layout,
+// call and loop depth — so a corrupt or stale cache entry fails closed at
+// load instead of crashing a VM mid-draw. No static write may land in the
+// pool. Only dynamic (indexed) addresses are left to the VM, which checks
+// them per lane and returns a RuntimeError.
 func (c *Compiled) validate() error {
 	bad := func(format string, args ...interface{}) error {
 		return fmt.Errorf("shader: program binary: "+format, args...)
@@ -469,10 +478,16 @@ func (c *Compiled) validate() error {
 	if c.nregs < 0 || c.nregs > maxBinaryRegs {
 		return bad("register file size %d out of range", c.nregs)
 	}
-	// span reports whether registers [r, r+n) lie inside the file.
+	npool := int32(len(c.pool))
+	if npool > c.nregs {
+		return bad("constant pool of %d registers outside the register file of %d", npool, c.nregs)
+	}
+	// span reports whether registers [r, r+n) lie inside the file, and
+	// writable whether they also lie above the read-only pool.
 	span := func(r, n int32) bool {
 		return r >= 0 && n >= 0 && int64(r)+int64(n) <= int64(c.nregs)
 	}
+	writable := func(r, n int32) bool { return r >= npool && span(r, n) }
 	pcOK := func(pc int32) bool { return pc >= 0 && pc < ncode }
 	if ncode == 0 || !pcOK(c.initEntry) || !pcOK(c.mainEntry) {
 		return bad("entry point out of range")
@@ -480,8 +495,8 @@ func (c *Compiled) validate() error {
 	if op := c.code[ncode-1].op; op != opRet && op != opJmp {
 		return bad("code falls off its end")
 	}
-	if c.globalBase < 0 || c.globalEnd < c.globalBase || c.globalEnd > c.nregs {
-		return bad("global window [%d,%d) outside register file", c.globalBase, c.globalEnd)
+	if c.globalBase < npool || c.globalEnd < c.globalBase || c.globalEnd > c.nregs {
+		return bad("global window [%d,%d) outside the writable register file", c.globalBase, c.globalEnd)
 	}
 	inGlobals := func(off, n int32) bool {
 		return off >= c.globalBase && n >= 0 && int64(off)+int64(n) <= int64(c.globalEnd)
@@ -510,8 +525,8 @@ func (c *Compiled) validate() error {
 			glsl.BVSlotPointCoord: 2, glsl.BVSlotFragColor: 4, glsl.BVSlotFragData: 4 * glsl.MaxDrawBuffers}
 	}
 	for slot, n := range builtinSlots {
-		if !span(c.builtinOff[slot], n) {
-			return bad("builtin slot %d outside register file", slot)
+		if !writable(c.builtinOff[slot], n) {
+			return bad("builtin slot %d outside the writable register file", slot)
 		}
 	}
 	for _, fi := range c.funcs {
@@ -526,12 +541,12 @@ func (c *Compiled) validate() error {
 		return bad("call depth %d out of range", c.maxDepth)
 	}
 	for i := range c.builtins {
-		if err := c.builtins[i].validate(span); err != nil {
+		if err := c.builtins[i].validate(span, writable); err != nil {
 			return bad("builtin descriptor %d: %v", i, err)
 		}
 	}
 	for pc := range c.code {
-		if err := c.validateInstr(int32(pc), span); err != nil {
+		if err := c.validateInstr(int32(pc), span, writable); err != nil {
 			return bad("instruction %d (op %d): %v", pc, c.code[pc].op, err)
 		}
 	}
@@ -539,15 +554,23 @@ func (c *Compiled) validate() error {
 }
 
 // validateInstr checks one instruction's operands against the tables and
-// the register file.
-func (c *Compiled) validateInstr(pc int32, span func(r, n int32) bool) error {
+// the register file: the registers it reads must lie inside the file, the
+// registers it writes inside the file above the constant pool.
+func (c *Compiled) validateInstr(pc int32, span, writable func(r, n int32) bool) error {
 	in := &c.code[pc]
 	ncode := int32(len(c.code))
-	regs := func(rs ...[2]int32) error {
+	// rd checks runs the instruction reads, wr the one run it writes.
+	rd := func(rs ...[2]int32) error {
 		for _, r := range rs {
 			if !span(r[0], r[1]) {
 				return fmt.Errorf("registers [%d,%d) outside the file of %d", r[0], r[0]+r[1], c.nregs)
 			}
+		}
+		return nil
+	}
+	wr := func(r, n int32) error {
+		if !writable(r, n) {
+			return fmt.Errorf("destination [%d,%d) outside the writable registers", r, r+n)
 		}
 		return nil
 	}
@@ -561,9 +584,14 @@ func (c *Compiled) validateInstr(pc int32, span func(r, n int32) bool) error {
 		return width(r, in.n)
 	}
 	// swz checks the n packed nibble offsets of a swizzle from base.
-	swz := func(base int32) error {
+	swz := func(base int32, write bool) error {
 		for i := int32(0); i < in.n; i++ {
-			if err := regs(one(base + (in.aux>>(4*i))&0xf)); err != nil {
+			r := base + (in.aux>>(4*i))&0xf
+			err := rd(one(r))
+			if write {
+				err = wr(r, 1)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -599,7 +627,7 @@ func (c *Compiled) validateInstr(pc int32, span func(r, n int32) bool) error {
 		if in.c != -1 && !(pc < in.aux && in.aux <= in.c && in.c < ncode) {
 			return fmt.Errorf("reconvergence pc %d does not close the branch to %d", in.c, in.aux)
 		}
-		return regs(one(in.a))
+		return rd(one(in.a))
 	case opLoopReset, opLoopGuard:
 		if in.aux < 0 || in.aux >= c.nloops {
 			return fmt.Errorf("loop %d of %d", in.aux, c.nloops)
@@ -607,47 +635,41 @@ func (c *Compiled) validateInstr(pc int32, span func(r, n int32) bool) error {
 		if in.op == opLoopGuard && (in.b < 0 || int(in.b) >= len(c.poss)) {
 			return fmt.Errorf("position %d of %d", in.b, len(c.poss))
 		}
-	case opLoadImm, opDiscardTake:
-		return regs(one(in.dst))
+	case opDiscardTake:
+		return wr(in.dst, 1)
 	case opDiscardHalt:
-		return regs(one(in.a))
+		return rd(one(in.a))
 	case opZero:
-		return regs(width(in.dst, in.n))
+		return wr(in.dst, in.n)
 	case opMov, opNeg, opConvInt:
-		return regs(width(in.dst, in.n), width(in.a, in.n))
+		return errors.Join(wr(in.dst, in.n), rd(width(in.a, in.n)))
 	case opConvBool:
-		return regs(width(in.dst, max(in.n, 1)), width(in.a, max(in.n, 1)))
+		return errors.Join(wr(in.dst, max(in.n, 1)), rd(width(in.a, max(in.n, 1))))
 	case opSplat:
-		return regs(width(in.dst, in.n), one(in.a))
+		return errors.Join(wr(in.dst, in.n), rd(one(in.a)))
 	case opSwizLoad:
-		if err := regs(width(in.dst, in.n)); err != nil {
-			return err
-		}
-		return swz(in.a)
+		return errors.Join(wr(in.dst, in.n), swz(in.a, false))
 	case opSwizStore:
-		if err := regs(width(in.a, in.n)); err != nil {
-			return err
-		}
-		return swz(in.dst)
+		return errors.Join(rd(width(in.a, in.n)), swz(in.dst, true))
 	case opLoadInd, opLoadIndC:
-		return regs(width(in.dst, in.n), one(in.a))
+		return errors.Join(wr(in.dst, in.n), rd(one(in.a)))
 	case opStoreInd, opStoreIndC:
-		return regs(one(in.a), width(in.b, in.n))
+		return rd(one(in.a), width(in.b, in.n))
 	case opAddrOff, opNot, opBoolNorm:
-		return regs(one(in.dst), one(in.a))
+		return errors.Join(wr(in.dst, 1), rd(one(in.a)))
 	case opDynAddr, opDynPick:
 		if in.b >= 0 {
-			if err := regs(one(in.b)); err != nil {
+			if err := rd(one(in.b)); err != nil {
 				return err
 			}
 		}
-		return regs(one(in.dst), one(in.a))
+		return errors.Join(wr(in.dst, 1), rd(one(in.a)))
 	case opAdd, opSub, opMul, opDivF, opDivI:
-		return regs(width(in.dst, in.n), bcast(in.a, in.aux&1), bcast(in.b, in.aux&2))
+		return errors.Join(wr(in.dst, in.n), rd(bcast(in.a, in.aux&1), bcast(in.b, in.aux&2)))
 	case opXorXor, opLt, opLe, opGt, opGe:
-		return regs(one(in.dst), one(in.a), one(in.b))
+		return errors.Join(wr(in.dst, 1), rd(one(in.a), one(in.b)))
 	case opEqV, opNeV:
-		return regs(one(in.dst), width(in.a, in.n), width(in.b, in.n))
+		return errors.Join(wr(in.dst, 1), rd(width(in.a, in.n), width(in.b, in.n)))
 	case opMatDiag, opMatMulMM, opMatMulMV, opMatMulVM:
 		n := in.n
 		if n < 1 || n > 4 {
@@ -662,7 +684,10 @@ func (c *Compiled) validateInstr(pc int32, span func(r, n int32) bool) error {
 		case opMatMulVM:
 			d, a = n, n
 		}
-		return regs(width(in.dst, d), width(in.a, a), width(in.b, b))
+		if in.op == opMatDiag {
+			return errors.Join(wr(in.dst, d), rd(width(in.a, a)))
+		}
+		return errors.Join(wr(in.dst, d), rd(width(in.a, a), width(in.b, b)))
 	default:
 		return fmt.Errorf("unknown opcode")
 	}
@@ -671,7 +696,7 @@ func (c *Compiled) validateInstr(pc int32, span func(r, n int32) bool) error {
 
 // validate checks a builtin descriptor's registers against every
 // component the VM reads or writes for it.
-func (d *builtinDesc) validate(span func(r, n int32) bool) error {
+func (d *builtinDesc) validate(span, writable func(r, n int32) bool) error {
 	if d.nargs < 1 || d.nargs > 3 || d.nc < 0 || d.nc > 16 || d.an < 0 || d.an > 4 || d.dim < 0 || d.dim > 4 {
 		return fmt.Errorf("shape nargs=%d nc=%d an=%d dim=%d out of range", d.nargs, d.nc, d.an, d.dim)
 	}
@@ -691,8 +716,8 @@ func (d *builtinDesc) validate(span func(r, n int32) bool) error {
 		glsl.BNormalize, glsl.BFaceforward, glsl.BReflect, glsl.BRefract:
 		out = max(out, d.an)
 	}
-	if !span(d.dst, out) {
-		return fmt.Errorf("destination register %d width %d outside register file", d.dst, out)
+	if !writable(d.dst, out) {
+		return fmt.Errorf("destination register %d width %d outside the writable registers", d.dst, out)
 	}
 	for _, a := range d.args {
 		if !span(a, in) {

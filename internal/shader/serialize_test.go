@@ -3,6 +3,7 @@ package shader
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"glescompute/internal/glsl"
@@ -11,7 +12,7 @@ import (
 // loaderProbeSrc exercises every operand shape the loader checks: dynamic
 // indexing (opDynAddr/opLoadInd/opStoreInd and the swizzled …C forms),
 // builtins with broadcast and vector arguments, matrices, calls with out
-// parameters, loops and discard.
+// parameters, loops and discard. Its literals fill a constant pool.
 const loaderProbeSrc = `precision highp float;
 uniform sampler2D u_t;
 uniform vec4 u_v;
@@ -24,6 +25,9 @@ void main() {
 	arr[j] += 1.0;
 	vec4 v = u_v;
 	v.zyx[j] = arr[j];
+	vec4 q[2];
+	q[0] = u_v; q[1] = v_p;
+	q[j].zx = v_p.xy;
 	mat3 m = mat3(v_p.x, v_p.y, v_p.z, u_v.x, u_v.y, u_v.z, 1.0, 2.0, 3.0);
 	vec3 mv = m * vec3(1.0, arr[1], arr[j]);
 	float ip; vec2 acc = v_p.zw;
@@ -31,7 +35,7 @@ void main() {
 	vec4 t = texture2D(u_t, v_p.xy) + vec4(dot(mv, mv));
 	vec3 r = refract(normalize(mv + vec3(3.0)), vec3(0.0, 1.0, 0.0), 0.9);
 	if (v_p.z > 20.0) { discard; }
-	gl_FragColor = t + vec4(r, ip) + v + vec4(clamp(acc, 0.0, 1.0), mix(v_p.xy, v_p.zw, 0.5));
+	gl_FragColor = t + vec4(r, ip) + v + q[0] + vec4(clamp(acc, 0.0, 1.0), mix(v_p.xy, v_p.zw, 0.5));
 }`
 
 func marshalProbe(t *testing.T) (*Compiled, []byte) {
@@ -162,6 +166,36 @@ func TestUnmarshalRejectsRegisterOperands(t *testing.T) {
 		t.Fatal("no corruption was rejected")
 	}
 
+	// The constant pool is read-only: a pool outside the register file,
+	// and any static write into it — an instruction's destination or a
+	// builtin descriptor's — fail to load.
+	if len(orig.pool) == 0 {
+		t.Fatal("probe program has no constant pool")
+	}
+	if !try("pool beyond the file", func(c *Compiled) { c.pool = make([]float32, c.nregs+1) }, false) {
+		t.Fatal("a constant pool larger than the register file loaded")
+	}
+	writes := 0
+	for pc, in := range orig.code {
+		switch in.op {
+		case opNop, opStats, opJmp, opJz, opJnz, opCall, opRet, opDiscard, opLoopReset, opLoopGuard,
+			opStoreInd, opStoreIndC, opDiscardHalt, opBuiltin:
+			continue
+		}
+		writes++
+		if !try(fmt.Sprintf("pc %d op %d writes the pool", pc, in.op), func(c *Compiled) { c.code[pc].dst = 0 }, false) {
+			t.Fatalf("pc %d (op %d): a static write into the constant pool loaded", pc, in.op)
+		}
+	}
+	for i := range orig.builtins {
+		if !try(fmt.Sprintf("builtin %d writes the pool", i), func(c *Compiled) { c.builtins[i].dst = 0 }, false) {
+			t.Fatalf("builtin descriptor %d: a write into the constant pool loaded", i)
+		}
+	}
+	if writes == 0 || len(orig.builtins) == 0 {
+		t.Fatal("probe program has no writing instruction or builtin")
+	}
+
 	// The original report: one destination register far outside a small
 	// file.
 	for pc, in := range orig.code {
@@ -170,6 +204,67 @@ func TestUnmarshalRejectsRegisterOperands(t *testing.T) {
 				t.Fatalf("pc %d: out-of-range destination register loaded", pc)
 			}
 			break
+		}
+	}
+}
+
+// TestDynamicStoreIntoPool points the static base of every dynamic store
+// (opStoreInd and opStoreIndC) at the constant pool, which no load-time
+// check can see: the VM must report a RuntimeError and leave the pool
+// intact.
+func TestDynamicStoreIntoPool(t *testing.T) {
+	_, blob := marshalProbe(t)
+	orig, err := UnmarshalCompiled(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []opcode{opStoreInd, opStoreIndC} {
+		// The address a store writes through comes from the opDynAddr
+		// that computes its register.
+		at := -1
+		for pc, in := range orig.code {
+			if in.op != op {
+				continue
+			}
+			for k := pc - 1; k >= 0; k-- {
+				if d := orig.code[k]; d.op == opDynAddr && d.dst == in.a && d.b < 0 {
+					at = k
+					break
+				}
+			}
+			break
+		}
+		if at < 0 {
+			t.Fatalf("probe program has no op %d through a static-base address", op)
+		}
+		c, err := UnmarshalCompiled(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.code[at].c = 0
+		bad, err := c.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := UnmarshalCompiled(bad)
+		if err != nil {
+			t.Fatalf("op %d: a dynamic base is only checkable at run time, got load error %v", op, err)
+		}
+		vm := NewVM(loaded, diffSampler{}, DefaultSFU)
+		vm.MaxLoopIter = 1 << 10
+		if err := vm.InitGlobals(); err != nil {
+			t.Fatal(err)
+		}
+		var re *RuntimeError
+		if _, err := vm.Run(LaneWidth); !errors.As(err, &re) || !strings.Contains(err.Error(), "writable") {
+			t.Fatalf("op %d: store into the pool ran with error %v, want a RuntimeError for the store", op, err)
+		}
+		for r, v := range loaded.pool {
+			for l := 0; l < LaneWidth; l++ {
+				if vm.regs[r][l] != v {
+					t.Fatalf("op %d: pool register %d lane %d changed to %v", op, r, l, vm.regs[r][l])
+				}
+			}
 		}
 	}
 }

@@ -45,6 +45,13 @@ func (s *Stats) Scale(k float64) Stats {
 	}
 }
 
+// Sub returns s - o: the operations counted after snapshot o of
+// cumulative counters s.
+func (s Stats) Sub(o Stats) Stats {
+	s.addN(&o, ^uint64(0)) // adding (2^64-1)·o subtracts o modulo 2^64
+	return s
+}
+
 // addN accumulates k copies of o into s: one opStats block delta charged
 // to each of k active lanes.
 func (s *Stats) addN(o *Stats, k uint64) {

@@ -69,6 +69,11 @@ type VM struct {
 	// MaxLoopIter guards against runaway shaders, like Exec.MaxLoopIter.
 	MaxLoopIter int
 
+	// Dispatches counts the instructions decoded since the last Reset, one
+	// per instruction per group however many lanes are active: the
+	// interpreter overhead on the host clock. No modeled metric reads it.
+	Dispatches uint64
+
 	c         *Compiled
 	regs      []lanes   // structure-of-arrays: register r, lane l is regs[r][l]
 	snap      []float32 // one lane of globals, snapshotted by InitGlobals
@@ -91,6 +96,8 @@ type VM struct {
 	// serialized lane starts from.
 	serCalls []int32
 	serLoops []int
+
+	texST [2]lanes // projected texture coordinates
 }
 
 // NewVM creates an executor over compiled code.
@@ -113,6 +120,9 @@ func NewVM(c *Compiled, tex TextureSampler, sfu SFUConfig) *VM {
 		// LaneWidth-1 entries.
 		stack: make([]divergence, 0, LaneWidth),
 	}
+	for r, v := range c.pool {
+		vm.fill(int32(r), v)
+	}
 	vm.Reset()
 	return vm
 }
@@ -124,12 +134,13 @@ func (vm *VM) Compiled() *Compiled { return vm.c }
 func (vm *VM) Lanes() int { return LaneWidth }
 
 // Reset returns the VM to its freshly created state — builtin and global
-// registers zeroed, builtin defaults restored, no snapshot, Stats cleared
-// — so one VM can serve draw after draw without reallocating its register
-// file.
+// registers zeroed, builtin defaults restored, no snapshot, Stats and
+// Dispatches cleared — so one VM can serve draw after draw without
+// reallocating its register file. The constant pool is left as NewVM
+// filled it.
 func (vm *VM) Reset() {
 	c := vm.c
-	clear(vm.regs[:c.globalEnd])
+	clear(vm.regs[len(c.pool):c.globalEnd])
 	// Builtin register defaults, mirroring NewExec.
 	if c.Prog.Stage == glsl.StageVertex {
 		vm.fill(c.builtinOff[glsl.BVSlotPointSize], 1)
@@ -138,6 +149,7 @@ func (vm *VM) Reset() {
 	}
 	vm.snapped = false
 	vm.Stats = Stats{}
+	vm.Dispatches = 0
 }
 
 // fill stores v into every lane of register r.
@@ -316,12 +328,17 @@ func (vm *VM) badAddr(ad int32) error {
 	return &RuntimeError{Msg: "vm: register address " + strconv.Itoa(int(ad)) + " outside the register file"}
 }
 
+func (vm *VM) badStore(ad int32) error {
+	return &RuntimeError{Msg: "vm: store to register " + strconv.Itoa(int(ad)) + " outside the writable registers"}
+}
+
 // exec runs the active lanes from pc at call depth sp until every lane of
 // the group has finished.
 func (vm *VM) exec(pc, sp int32) error {
 	code := vm.c.code
 	regs := vm.regs
 	nregs := vm.c.nregs
+	npool := int32(len(vm.c.pool)) // registers below npool are read-only
 	act := vm.act
 	// full selects the fast paths of the hottest instructions, which
 	// sweep all LaneWidth lanes when every lane is active.
@@ -335,6 +352,7 @@ func (vm *VM) exec(pc, sp int32) error {
 			reconv = vm.reconvAt(sp)
 		}
 		in := &code[pc]
+		vm.Dispatches++
 		switch in.op {
 		case opNop:
 		case opStats:
@@ -452,17 +470,6 @@ func (vm *VM) exec(pc, sp int32) error {
 				}
 			}
 			vm.loopIters[in.aux]++
-		case opLoadImm:
-			d := row(regs, in.dst)
-			if full {
-				for l := range d {
-					d[l] = in.imm
-				}
-				break
-			}
-			for _, l := range act {
-				d[l&15] = in.imm
-			}
 		case opZero:
 			if full {
 				clear(regs[in.dst : in.dst+in.n])
@@ -527,20 +534,25 @@ func (vm *VM) exec(pc, sp int32) error {
 					d[l&15] = x[l&15]
 				}
 			}
-		case opLoadInd, opStoreInd:
+		case opLoadInd:
 			addr := row(regs, in.a)
 			for _, l := range act {
 				ad := int32(addr[l&15])
 				if ad < 0 || ad > nregs-in.n {
 					return vm.badAddr(ad)
 				}
-				dst, src := in.dst, ad
-				if in.op == opStoreInd {
-					dst, src = ad, in.b
-				}
-				moveLane(regs, dst, src, in.n, l)
+				moveLane(regs, in.dst, ad, in.n, l)
 			}
-		case opLoadIndC, opStoreIndC:
+		case opStoreInd:
+			addr := row(regs, in.a)
+			for _, l := range act {
+				ad := int32(addr[l&15])
+				if ad < npool || ad > nregs-in.n {
+					return vm.badStore(ad)
+				}
+				moveLane(regs, ad, in.b, in.n, l)
+			}
+		case opLoadIndC:
 			addr := row(regs, in.a)
 			for _, l := range act {
 				ad := int32(addr[l&15])
@@ -549,11 +561,19 @@ func (vm *VM) exec(pc, sp int32) error {
 					if p < 0 || p >= nregs {
 						return vm.badAddr(p)
 					}
-					if in.op == opLoadIndC {
-						regs[in.dst+i][l&15] = regs[p][l&15]
-					} else {
-						regs[p][l&15] = regs[in.b+i][l&15]
+					regs[in.dst+i][l&15] = regs[p][l&15]
+				}
+			}
+		case opStoreIndC:
+			addr := row(regs, in.a)
+			for _, l := range act {
+				ad := int32(addr[l&15])
+				for i := int32(0); i < in.n; i++ {
+					p := ad + (in.aux>>(4*i))&0xf
+					if p < npool || p >= nregs {
+						return vm.badStore(p)
 					}
+					regs[p][l&15] = regs[in.b+i][l&15]
 				}
 			}
 		case opAddrOff:
@@ -788,9 +808,12 @@ func (vm *VM) sfuLog2(x float32) float32 {
 }
 
 // execBuiltin reproduces Exec.evalBuiltin's arithmetic over the active
-// lanes. The builtins of the codec and NN kernels run lane-inner loops;
-// the rest run the lane-at-a-time reference in builtinLane. Every case
-// must stay bit-for-bit identical to builtins_exec.go.
+// lanes. The builtins of the codec and NN kernels run lane-inner loops
+// (the compiler's componentwise list names those that read each argument
+// component just before writing the same result component); a texture
+// instruction is one SampleLanes call; the rest run the lane-at-a-time
+// reference in builtinLane. Every case must stay bit-for-bit identical to
+// builtins_exec.go.
 func (vm *VM) execBuiltin(d *builtinDesc, act []uint8) {
 	regs := vm.regs
 	nc := d.nc
@@ -891,12 +914,20 @@ func (vm *VM) execBuiltin(d *builtinDesc, act []uint8) {
 			}
 		}
 	case glsl.BTexture2D, glsl.BTexture2DBias, glsl.BTexture2DLod:
-		unit, s, t := arg(0, 0), arg(1, 0), arg(1, 1)
-		o0, o1, o2, o3 := row(regs, d.dst), row(regs, d.dst+1), row(regs, d.dst+2), row(regs, d.dst+3)
-		for _, l := range act {
-			rgba := vm.Textures.Sample2D(int(unit[l&15]), s[l&15], t[l&15])
-			o0[l&15], o1[l&15], o2[l&15], o3[l&15] = rgba[0], rgba[1], rgba[2], rgba[3]
+		vm.Textures.SampleLanes(arg(0, 0), arg(1, 0), arg(1, 1), nil, act, texOut(regs, d.dst))
+	case glsl.BTexture2DProj3, glsl.BTexture2DProjLod3, glsl.BTexture2DProj4, glsl.BTexture2DProjLod4:
+		q := arg(1, 2)
+		if d.id == glsl.BTexture2DProj4 || d.id == glsl.BTexture2DProjLod4 {
+			q = arg(1, 3)
 		}
+		s, t := arg(1, 0), arg(1, 1)
+		ps, pt := &vm.texST[0], &vm.texST[1]
+		for _, l := range act {
+			ps[l&15], pt[l&15] = s[l&15]/q[l&15], t[l&15]/q[l&15]
+		}
+		vm.Textures.SampleLanes(arg(0, 0), ps, pt, nil, act, texOut(regs, d.dst))
+	case glsl.BTextureCube, glsl.BTextureCubeBias, glsl.BTextureCubeLod:
+		vm.Textures.SampleLanes(arg(0, 0), arg(1, 0), arg(1, 1), arg(1, 2), act, texOut(regs, d.dst))
 	default:
 		// Zero the destination first, like the interpreter's fresh out
 		// Value (some builtins write components conditionally, e.g.
@@ -912,6 +943,9 @@ func (vm *VM) execBuiltin(d *builtinDesc, act []uint8) {
 		}
 	}
 }
+
+// texOut is the four result rows of a texture instruction.
+func texOut(regs []lanes, dst int32) *[4]lanes { return (*[4]lanes)(regs[dst : dst+4]) }
 
 // builtinLane evaluates the remaining builtins in one lane.
 func (vm *VM) builtinLane(d *builtinDesc, l uint8) {
@@ -933,9 +967,6 @@ func (vm *VM) builtinLane(d *builtinDesc, l uint8) {
 			}
 			*out(i) = r
 		}
-	}
-	tex := func(rgba [4]float32) {
-		*out(0), *out(1), *out(2), *out(3) = rgba[0], rgba[1], rgba[2], rgba[3]
 	}
 
 	switch d.id {
@@ -1102,13 +1133,5 @@ func (vm *VM) builtinLane(d *builtinDesc, l uint8) {
 		for i := int32(0); i < d.an; i++ {
 			*out(i) = b2f(arg(0, i) == 0)
 		}
-	case glsl.BTexture2DProj3, glsl.BTexture2DProjLod3:
-		q := arg(1, 2)
-		tex(vm.Textures.Sample2D(int(arg(0, 0)), arg(1, 0)/q, arg(1, 1)/q))
-	case glsl.BTexture2DProj4, glsl.BTexture2DProjLod4:
-		q := arg(1, 3)
-		tex(vm.Textures.Sample2D(int(arg(0, 0)), arg(1, 0)/q, arg(1, 1)/q))
-	case glsl.BTextureCube, glsl.BTextureCubeBias, glsl.BTextureCubeLod:
-		tex(vm.Textures.SampleCube(int(arg(0, 0)), arg(1, 0), arg(1, 1), arg(1, 2)))
 	}
 }

@@ -35,6 +35,26 @@ func (diffSampler) SampleCube(unit int, x, y, z float32) [4]float32 {
 	return [4]float32{float32(h&0xff) / 255, float32((h>>8)&0xff) / 255, 0.25, 1}
 }
 
+func (d diffSampler) SampleLanes(unit, s, t, r *[LaneWidth]float32, act []uint8, out *[4][LaneWidth]float32) {
+	sampleEach(d, unit, s, t, r, act, out)
+}
+
+// sampleEach implements a fake's SampleLanes through its per-fetch
+// methods.
+func sampleEach(ts TextureSampler, unit, s, t, r *[LaneWidth]float32, act []uint8, out *[4][LaneWidth]float32) {
+	for _, l := range act {
+		var rgba [4]float32
+		if r != nil {
+			rgba = ts.SampleCube(int(unit[l]), s[l], t[l], r[l])
+		} else {
+			rgba = ts.Sample2D(int(unit[l]), s[l], t[l])
+		}
+		for c := range rgba {
+			out[c][l] = rgba[c]
+		}
+	}
+}
+
 // lcg is a tiny deterministic generator for input values.
 type lcg uint32
 
@@ -90,10 +110,18 @@ func runDifferential(t *testing.T, prog *glsl.Program, invocations int) {
 	if err != nil {
 		t.Fatalf("bytecode compile failed: %v", err)
 	}
+	runCompiled(t, prog, comp, invocations, 1<<16, sameBits)
+}
+
+// runCompiled is runDifferential over an already compiled program, with a
+// loop-iteration limit for both engines and the equality outputs and
+// globals must meet.
+func runCompiled(t *testing.T, prog *glsl.Program, comp *Compiled, invocations, maxLoopIter int, eq func(a, b float32) bool) {
+	t.Helper()
 	ex := NewExec(prog, diffSampler{}, DefaultSFU)
 	vm := NewVM(comp, diffSampler{}, DefaultSFU)
-	ex.MaxLoopIter = 1 << 16
-	vm.MaxLoopIter = 1 << 16
+	ex.MaxLoopIter = maxLoopIter
+	vm.MaxLoopIter = maxLoopIter
 
 	// Uniforms, identical on both sides.
 	gU, gV := lcg(12345), lcg(12345)
@@ -163,14 +191,14 @@ func runDifferential(t *testing.T, prog *glsl.Program, invocations int) {
 				t.Fatalf("invocation %d: discard divergence: interp=%v vm=%v", inv, d, !d)
 			}
 			if prog.Stage == glsl.StageFragment {
-				if o1, o2 := ex.FragOutput(), vm.FragOutput(l); !bitsEqual4(o1, o2) {
+				if o1, o2 := ex.FragOutput(), vm.FragOutput(l); !equal4(o1, o2, eq) {
 					t.Fatalf("invocation %d: gl_FragColor diverges:\ninterp: %v\nvm:     %v", inv, o1, o2)
 				}
 			} else {
-				if p1, p2 := ex.Position(), vm.Position(l); !bitsEqual4(p1, p2) {
+				if p1, p2 := ex.Position(), vm.Position(l); !equal4(p1, p2, eq) {
 					t.Fatalf("invocation %d: gl_Position diverges:\ninterp: %v\nvm:     %v", inv, p1, p2)
 				}
-				if math.Float32bits(ex.PointSize()) != math.Float32bits(vm.PointSize(l)) {
+				if !eq(ex.PointSize(), vm.PointSize(l)) {
 					t.Fatalf("invocation %d: gl_PointSize diverges: %v vs %v", inv, ex.PointSize(), vm.PointSize(l))
 				}
 			}
@@ -182,7 +210,7 @@ func runDifferential(t *testing.T, prog *glsl.Program, invocations int) {
 				ex.ReadGlobalFlat(gl, b1)
 				vm.ReadGlobalFlat(l, gl, b2)
 				for i := range b1 {
-					if math.Float32bits(b1[i]) != math.Float32bits(b2[i]) {
+					if !eq(b1[i], b2[i]) {
 						t.Fatalf("invocation %d: global %q[%d] diverges: %v vs %v",
 							inv, gl.Name, i, b1[i], b2[i])
 					}
@@ -201,14 +229,16 @@ func runDifferential(t *testing.T, prog *glsl.Program, invocations int) {
 	}
 }
 
-func bitsEqual4(a, b [4]float32) bool {
+func equal4(a, b [4]float32, eq func(a, b float32) bool) bool {
 	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+		if !eq(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
 }
+
+func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
 func compileSrc(t *testing.T, src string, stage glsl.ShaderStage) *glsl.Program {
 	t.Helper()
@@ -242,15 +272,16 @@ func TestVMDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestVMDifferentialConstructs covers language constructs not exercised by
-// the corpus: aliasing writes, out/inout parameters, dynamic indexing,
-// struct values, discard, operator corner cases.
-func TestVMDifferentialConstructs(t *testing.T) {
+// constructZoo holds a fragment shader per language construct the corpus
+// does not exercise: aliasing writes, out/inout parameters, dynamic
+// indexing, struct values, discard, operator corner cases, and divergence
+// inside one 16-fragment group.
+func constructZoo() map[string]string {
 	frag := func(body string) string {
 		return "precision highp float;\nuniform float u_a;\nuniform float u_b;\nuniform vec4 u_v;\n" + body
 	}
 	perLane := func(body string) string { return frag("varying vec4 v_p;\n" + body) }
-	cases := map[string]string{
+	return map[string]string{
 		"swizzle-alias": frag(`
 void main() {
 	vec4 v = u_v;
@@ -620,6 +651,97 @@ void main() {
 	v[int(v_p.w)] = 7.0;
 	gl_FragColor = vec4(arr[j], arr[int(v_p.z)], v[int(v_p.y)], v.x + v.w);
 }`),
+		// The bytecode optimizer's rules (DESIGN.md §6l): results written
+		// straight into variables whose old value the producing
+		// instruction still reads, pooled constants, inlined callees.
+		"forward-alias": perLane(`
+struct S { vec2 a; float b; };
+void main() {
+	vec4 v = v_p;
+	v = v.x * v;
+	v += v.y;
+	v = v.yxwz + v;
+	v = vec4(v.y, v.x, v.w, v.z);
+	v = max(v, v.z);
+	v.zw *= v.x;
+	v.yz = v.xy;
+	v = v_p.x > 1.0 ? v.wzyx : v;
+	float x = v.w;
+	x = floor(x);
+	x = x > 0.0 ? x - 1.0 : (x = 3.0, x + v.x);
+	mat2 m = mat2(v);
+	m = m * m;
+	vec2 n = normalize(v.xy);
+	n = reflect(n, normalize(n.yx + vec2(1.0)));
+	S s = S(v.zw, x);
+	s = S(s.a.yx, s.a.x);
+	v.y++;
+	float arr[3];
+	arr[1] = x; arr[0] = -x; arr[2] = 0.5;
+	arr[1]--;
+	gl_FragColor = v + vec4(m[1], n) + vec4(s.a, s.b, arr[0] + arr[1] + arr[2]);
+}`),
+		"pool-constants": perLane(`
+const vec3 CV = vec3(-1.0, 0.0, 2.5);
+const float CF = -0.0;
+void main() {
+	int i = int(v_p.x);
+	int z = -0;
+	vec4 a = vec4(-1.0) + vec4(1, 2, 3, 4) * vec4(0.5, -0.5, 0.25, -0.0);
+	vec2 b = vec2(-2) + vec2(true, false);
+	ivec2 c = ivec2(-1) + ivec2(1.5, -2.5);
+	bvec2 d = bvec2(1.0, 0.0);
+	float e = vec4(1.0, 2.0, 3.0, 4.0)[i] + CV[i] + CF + float(z) + float(true);
+	vec3 f = vec3(a) + vec4(CV, 1.0).xyz;
+	gl_FragColor = a + vec4(b, float(c.x + c.y), float(d.x)) + vec4(e, f);
+}`),
+		"inline-calls": perLane(`
+float g;
+float bumpRead(float a) { g += 1.0; return a + g; }
+float twice(float a) { return a * 2.0; }
+float pick(float a, float b) { return b; }
+vec2 swap(vec2 p) { vec2 q = p.yx; return q; }
+float writesParam(float a) { a = a * 3.0; return a + 1.0; }
+float split(float x, out float ip) { ip = floor(x); return x - ip; }
+float early(float x) { if (x > 2.0) { return 1.0; } return x; }
+void touch(inout vec4 v) { v.x += 1.0; }
+float peek(inout float x) { return x * 2.0; }
+void main() {
+	g = v_p.x;
+	float x = bumpRead(g) + bumpRead(g);
+	float y = twice(twice(v_p.y)) + twice(1.5);
+	float z = pick(pick(1.0, v_p.z), pick(v_p.w, 2.0));
+	vec2 w = swap(swap(v_p.xy) + swap(v_p.zw));
+	float u = writesParam(v_p.x) + writesParam(y);
+	float ip = 0.0;
+	float fr = split(v_p.w * 3.7, ip);
+	ip = split(ip + 0.25, ip);
+	float e = early(v_p.z) + early(early(v_p.y));
+	vec4 t = v_p;
+	touch(t);
+	g = twice(g);
+	float pk = v_p.z;
+	float pq = peek(pk) + peek(pk);
+	gl_FragColor = vec4(x + y, z + u, w) + vec4(fr, ip, e, g) + t + vec4(pk, pq, 0.0, 0.0);
+}`),
+		"inline-loops": perLane(`
+float sum(float n) {
+	float acc = 0.0;
+	for (float k = 0.0; k < 8.0; k += 1.0) {
+		if (k >= n) { break; }
+		acc += k * n;
+	}
+	return acc;
+}
+vec4 fetch(float i) { return vec4(i, i * 2.0, floor(i * 0.5), 1.0); }
+void main() {
+	vec4 acc = fetch(v_p.x);
+	for (int i = 0, j = 4; i < 4; i++, j -= 1) {
+		acc = max(acc, fetch(sum(float(i + j) + v_p.y)));
+		acc += acc.x * fetch(float(i));
+	}
+	gl_FragColor = acc;
+}`),
 		"group-runaway-lane": perLane(`
 void main() {
 	float s = 0.0;
@@ -630,7 +752,12 @@ void main() {
 	gl_FragColor = vec4(s);
 }`),
 	}
-	for name, src := range cases {
+}
+
+// TestVMDifferentialConstructs runs the construct zoo through both
+// engines.
+func TestVMDifferentialConstructs(t *testing.T) {
+	for name, src := range constructZoo() {
 		t.Run(name, func(t *testing.T) {
 			runDifferential(t, compileSrc(t, src, glsl.StageFragment), 16)
 		})
@@ -736,7 +863,216 @@ void main() {
 			runDifferential(t, compileSrc(t, "precision highp float;\n"+decoder+src, glsl.StageFragment), 24)
 		})
 	}
+	// The int8 LeNet (N1) programs exactly as the runtime generates them.
+	for name, src := range map[string]string{"int8-im2col": int8Im2colSrc, "int8-fused": int8FusedSrc} {
+		t.Run(name, func(t *testing.T) {
+			runDifferential(t, compileSrc(t, src, glsl.StageFragment), 24)
+		})
+	}
 }
+
+// int8Im2colSrc is the generated fragment program of the int8 LeNet's
+// first im2col pass: the vec4 decoder gc_decode4_i8x4, the packed accessor
+// gc_x4 and the scalar lane-select accessor gc_x (its nested ?:).
+const int8Im2colSrc = `precision highp float;
+
+vec4 gc_decode4_i8x4(vec4 t) {
+	return floor(t * 255.0 + vec4(0.5)) - vec4(128.0);
+}
+
+uniform sampler2D gc_x_tex;
+uniform vec2 gc_x_dims;
+vec4 gc_x4(float tidx) {
+	float row = floor((tidx + 0.5) / gc_x_dims.x);
+	float col = tidx - row * gc_x_dims.x;
+	vec2 st = vec2((col + 0.5) / gc_x_dims.x, (row + 0.5) / gc_x_dims.y);
+	return gc_decode4_i8x4(texture2D(gc_x_tex, st));
+}
+float gc_x(float idx) {
+	float t = floor((idx + 0.5) / 4.0);
+	float l = idx - t * 4.0;
+	vec4 v = gc_x4(t);
+	return l < 0.5 ? v.r : (l < 1.5 ? v.g : (l < 2.5 ? v.b : v.a));
+}
+
+uniform vec2 gc_out_dims;
+uniform float gc_out_n;
+uniform float u_kk;
+uniform float u_ohw;
+uniform float u_ow;
+uniform float u_ic;
+uniform float u_ic4;
+uniform float u_kw;
+uniform float u_stride;
+uniform float u_inh;
+uniform float u_inw;
+varying vec2 v_uv;
+
+vec4 gc_encode_out(vec4 v) {
+	vec4 b = clamp(floor(v + vec4(0.5)), vec4(-128.0), vec4(127.0)) + vec4(128.0);
+	return (b + vec4(0.25)) / 255.0;
+}
+
+
+float gc_col(float k, float rowbase, float y0, float x0) {
+	float tap = floor((k + 0.5) / u_ic);
+	float ic = k - tap * u_ic;
+	float ky = floor((tap + 0.5) / u_kw);
+	float kx = tap - ky * u_kw;
+	return gc_x(((rowbase + y0 + ky) * u_inw + x0 + kx) * u_ic4 + ic);
+}
+vec4 gc_kernel(float tidx) {
+	float idx = tidx * 4.0;
+	float r = floor((idx + 0.5) / u_kk);
+	float k0 = idx - r * u_kk;
+	float b = floor((r + 0.5) / u_ohw);
+	float p = r - b * u_ohw;
+	float oy = floor((p + 0.5) / u_ow);
+	float ox = p - oy * u_ow;
+	float rowbase = b * u_inh;
+	float y0 = oy * u_stride;
+	float x0 = ox * u_stride;
+	return vec4(gc_col(k0, rowbase, y0, x0), gc_col(k0 + 1.0, rowbase, y0, x0),
+		gc_col(k0 + 2.0, rowbase, y0, x0), gc_col(k0 + 3.0, rowbase, y0, x0));
+}
+
+void main() {
+	float gc_tidx = floor(gl_FragCoord.y) * gc_out_dims.x + floor(gl_FragCoord.x);
+	vec4 gc_v = gc_kernel(gc_tidx);
+	float gc_base = gc_tidx * 4.0;
+	if (gc_base + 3.5 > gc_out_n) {
+		gc_v *= step(gc_base + vec4(0.5, 1.5, 2.5, 3.5), vec4(gc_out_n));
+	}
+	gl_FragColor = gc_encode_out(gc_v);
+}
+`
+
+// int8FusedSrc is the generated fragment program of the int8 LeNet's
+// fused conv1 → relu1 → pool1 chain: three packed accessors (gc_fin04,
+// gc_fin14, gc_fin24) under a GEMM loop, called from a pooling loop
+// through two fused members.
+const int8FusedSrc = `precision highp float;
+
+vec4 gc_decode4_i8x4(vec4 t) {
+	return floor(t * 255.0 + vec4(0.5)) - vec4(128.0);
+}
+
+uniform sampler2D gc_fin0_tex;
+uniform vec2 gc_fin0_dims;
+vec4 gc_fin04(float tidx) {
+	float row = floor((tidx + 0.5) / gc_fin0_dims.x);
+	float col = tidx - row * gc_fin0_dims.x;
+	vec2 st = vec2((col + 0.5) / gc_fin0_dims.x, (row + 0.5) / gc_fin0_dims.y);
+	return gc_decode4_i8x4(texture2D(gc_fin0_tex, st));
+}
+float gc_fin0(float idx) {
+	float t = floor((idx + 0.5) / 4.0);
+	float l = idx - t * 4.0;
+	vec4 v = gc_fin04(t);
+	return l < 0.5 ? v.r : (l < 1.5 ? v.g : (l < 2.5 ? v.b : v.a));
+}
+
+uniform sampler2D gc_fin1_tex;
+uniform vec2 gc_fin1_dims;
+vec4 gc_fin14(float tidx) {
+	float row = floor((tidx + 0.5) / gc_fin1_dims.x);
+	float col = tidx - row * gc_fin1_dims.x;
+	vec2 st = vec2((col + 0.5) / gc_fin1_dims.x, (row + 0.5) / gc_fin1_dims.y);
+	return gc_decode4_i8x4(texture2D(gc_fin1_tex, st));
+}
+float gc_fin1(float idx) {
+	float t = floor((idx + 0.5) / 4.0);
+	float l = idx - t * 4.0;
+	vec4 v = gc_fin14(t);
+	return l < 0.5 ? v.r : (l < 1.5 ? v.g : (l < 2.5 ? v.b : v.a));
+}
+
+uniform sampler2D gc_fin2_tex;
+uniform vec2 gc_fin2_dims;
+vec4 gc_fin24(float tidx) {
+	float row = floor((tidx + 0.5) / gc_fin2_dims.x);
+	float col = tidx - row * gc_fin2_dims.x;
+	vec2 st = vec2((col + 0.5) / gc_fin2_dims.x, (row + 0.5) / gc_fin2_dims.y);
+	return gc_decode4_i8x4(texture2D(gc_fin2_tex, st));
+}
+float gc_fin2(float idx) {
+	float t = floor((idx + 0.5) / 4.0);
+	float l = idx - t * 4.0;
+	vec4 v = gc_fin24(t);
+	return l < 0.5 ? v.r : (l < 1.5 ? v.g : (l < 2.5 ? v.b : v.a));
+}
+
+uniform vec2 gc_out_dims;
+uniform float gc_out_n;
+varying vec2 v_uv;
+
+vec4 gc_encode_out(vec4 v) {
+	vec4 b = clamp(floor(v + vec4(0.5)), vec4(-128.0), vec4(127.0)) + vec4(128.0);
+	return (b + vec4(0.25)) / 255.0;
+}
+
+// ---- fused member 0: conv1 ----
+
+vec4 gc_fk0(float tidx) {
+	float idx = tidx * 4.0;
+	float r = floor((idx + 0.5) / (8.0));
+	float c = idx - r * (8.0);
+	vec4 acc = gc_fin24(c / 4.0);
+	float xbase = r * (28.0) / 4.0;
+	float wrow = (8.0) / 4.0;
+	float ctex = c / 4.0;
+	for (float k = 0.0; k < 1024.0; k += 1.0) {
+		if (k * 4.0 >= (28.0)) { break; }
+		vec4 xv = gc_fin04(xbase + k);
+		float wbase = k * 4.0 * wrow + ctex;
+		acc += xv.r * gc_fin14(wbase);
+		acc += xv.g * gc_fin14(wbase + wrow);
+		acc += xv.b * gc_fin14(wbase + wrow * 2.0);
+		acc += xv.a * gc_fin14(wbase + wrow * 3.0);
+	}
+	return clamp(floor(acc / (16.0)), vec4(-128.0), vec4(127.0));
+}
+
+// ---- fused member 1: relu1 ----
+
+vec4 gc_fk1(float tidx) {
+	return max(gc_fk0(tidx), vec4(0.0));
+}
+
+// ---- fused member 2: pool1 ----
+
+vec4 gc_fk2(float tidx) {
+	float idx = tidx * 4.0;
+	float b = floor((idx + 0.5) / (1152.0));
+	float p = idx - b * (1152.0);
+	float oy = floor((p + 0.5) / (96.0));
+	float q = p - oy * (96.0);
+	float ox = floor((q + 0.5) / (8.0));
+	float c = q - ox * (8.0);
+	vec4 acc = gc_fk1((((b * (24.0) + oy * (2.0)) * (24.0) + ox * (2.0)) * (8.0) + c) / 4.0);
+	for (float t = 1.0; t < 64.0; t += 1.0) {
+		if (t >= (4.0)) { break; }
+		float ky = floor((t + 0.5) / (2.0));
+		float kx = t - ky * (2.0);
+		float y = oy * (2.0) + ky;
+		float x = ox * (2.0) + kx;
+		acc = max(acc, gc_fk1((((b * (24.0) + y) * (24.0) + x) * (8.0) + c) / 4.0));
+	}
+	return acc;
+}
+
+vec4 gc_kernel(float tidx) { return gc_fk2(tidx); }
+
+void main() {
+	float gc_tidx = floor(gl_FragCoord.y) * gc_out_dims.x + floor(gl_FragCoord.x);
+	vec4 gc_v = gc_kernel(gc_tidx);
+	float gc_base = gc_tidx * 4.0;
+	if (gc_base + 3.5 > gc_out_n) {
+		gc_v *= step(gc_base + vec4(0.5, 1.5, 2.5, 3.5), vec4(gc_out_n));
+	}
+	gl_FragColor = gc_encode_out(gc_v);
+}
+`
 
 // TestVMLoopGuard verifies both engines abort runaway loops with an
 // error, including a runaway loop in one lane of a group whose other lanes
